@@ -62,7 +62,13 @@ class SignedShrub:
 
     @classmethod
     def from_json_dict(cls, data) -> "SignedShrub":
-        return cls(int(data["sign"]), Shrub.from_json_dict(data["shrub"]))
+        if not (isinstance(data, dict) and "sign" in data and "shrub" in data):
+            raise ValueError("a signed shrub is a JSON object with keys 'sign' and 'shrub'")
+        try:
+            sign = int(data["sign"])
+        except (TypeError, ValueError):
+            raise ValueError(f"sign must be +1 or -1, got {data['sign']!r}") from None
+        return cls(sign, Shrub.from_json_dict(data["shrub"]))
 
 
 def _check_permutation(sigma, n):

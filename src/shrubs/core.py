@@ -50,8 +50,12 @@ def label_key(label):
     return (0, label)
 
 
+def _is_label(value) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
 def _check_label(label):
-    if isinstance(label, bool) or not isinstance(label, (int, str)):
+    if not _is_label(label):
         raise TypeError(f"labels must be int or str, got {label!r}")
     return label
 
@@ -487,8 +491,22 @@ class Shrub:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Shrub":
+        if not isinstance(data, dict):
+            raise ValueError(f"a shrub is a JSON object, not {type(data).__name__}")
+        for key in ("vertices", "height"):
+            if key not in data:
+                raise ValueError(f"shrub JSON lacks the key {key!r}")
         vertices = data["vertices"]
         raw_height = data["height"]
+        raw_edges = data.get("edges", [])
+        if not (isinstance(vertices, list) and isinstance(raw_height, dict) and isinstance(raw_edges, list)):
+            raise ValueError("shrub JSON needs a vertices list, a height object and an edges list")
+        for v in vertices:
+            if not _is_label(v):
+                raise ValueError(f"labels must be int or str, got {v!r}")
+        for e in raw_edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_label, e))):
+                raise ValueError(f"an edge is a pair of labels, got {e!r}")
         height = {}
         for v in vertices:
             if v in raw_height:
@@ -497,7 +515,7 @@ class Shrub:
                 height[v] = raw_height[str(v)]
             else:
                 raise UnknownLabel(v, "height map (missing)")
-        edges = [tuple(e) for e in data.get("edges", [])]
+        edges = [tuple(e) for e in raw_edges]
         return cls(vertices, height, edges)
 
     @classmethod

@@ -480,7 +480,10 @@ def parse_fraction(text: str) -> FactoredFraction:
     m = _SCALAR_RE.match(text)
     scalar = Fraction(1)
     if m:
-        scalar = Fraction(m.group(1))
+        try:
+            scalar = Fraction(m.group(1))
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse fraction {text!r}: zero scalar denominator") from None
         text = text[m.end() :]
     depth = 0
     slash = None

@@ -1,12 +1,14 @@
 """Rebuilding a shrub from its factored fraction.
 
 The fraction of a shrub determines it completely.  Reconstruction splits
-into connected pieces read off the denominator supports, recovers which
-vertices can start a compatible order (height 0), and then recurses: a
-single root strips the full-sum factor; several roots locate the unique
-numerator factor containing them all, whose complement is the grafted upper
-part.  Every step validates its bookkeeping and the result is checked
-against the forward map, so a fraction outside the image always raises
+into connected pieces read off the denominator supports, finds the roots
+(height 0) of each piece by counting the factors that involve each label,
+and then recurses: a single root strips the full-sum factor; several roots
+locate the unique numerator factor containing them all, whose complement is
+the grafted upper part.  No compatible order is enumerated, so the work is
+polynomial in the number of labels.  Every step validates its bookkeeping
+and the result is checked against the closed formula
+(:func:`fraction_of_shrub`), so a fraction outside the image always raises
 ``NotInImage``.
 """
 
@@ -15,8 +17,9 @@ from __future__ import annotations
 import functools
 
 from .core import Shrub, label_key
-from .errors import CapExceeded, NotInImage, NotInZinbielImage
-from .mould import FactoredFraction, LinearForm, MouldElement, kappa, zinb_extract
+from .errors import CapExceeded, NotInImage
+from .mould import FactoredFraction, LinearForm, fraction_of_shrub
+from .mould import kappa  # noqa: F401  (unused here; perfbench's tracer rewraps it)
 from .operad import disjoint_union, graft, trivial_shrub
 
 
@@ -47,42 +50,42 @@ def fraction_components(f: FactoredFraction) -> tuple:
     return tuple(parts)
 
 
-def _compatible_orders_of(f: FactoredFraction, labels, cap):
-    try:
-        element = zinb_extract(MouldElement.from_fraction(f, labels), labels, cap=cap)
-    except NotInZinbielImage as exc:
-        raise NotInImage(str(exc)) from None
-    orders = []
-    for order, c in element.terms():
-        if c != 1:
-            raise NotInImage(f"order coefficient {c} differs from 1")
-        orders.append(order)
-    if not orders:
-        raise NotInImage("no compatible order at all")
-    return orders
+def _roots(f: FactoredFraction, labels) -> list:
+    """Height-0 vertices of a connected piece, read off factor counts.
+
+    In ``f * (sum of the labels)`` every embedded compatible order has
+    degree 0 in ``u_a`` when it starts with ``a`` and negative degree
+    otherwise, so ``a`` is a root exactly when as many numerator factors
+    as denominator factors involve ``u_a``.  More numerator factors cannot
+    come from any shrub.
+    """
+    F = f * FactoredFraction(num=[LinearForm.sum_of(labels)])
+    roots = []
+    for a in sorted(labels, key=label_key):
+        dn = sum(1 for g in F.num if a in g.support())
+        dd = sum(1 for g in F.den if a in g.support())
+        if dn > dd:
+            raise NotInImage(f"degree in u{a} grows: not an order combination")
+        if dn == dd:
+            roots.append(a)
+    if not roots:
+        raise NotInImage("no label can start a compatible order")
+    return roots
 
 
 def recover_heights(f: FactoredFraction, labels=None, cap: int = 6) -> dict:
-    """Height map of the underlying shrub, by peeling possible minima.
+    """Height map of the underlying shrub.
 
-    The height-0 vertices are exactly the possible minima of the compatible
-    orders; deleting them from every order leaves the orders of the
-    truncation, so iterating assigns every level.
+    Read off the certified reconstruction, whose roots come from factor
+    counts at every level (see :func:`_roots`); no order is enumerated.
+    ``labels`` must be the labels of ``f``.
     """
     labels = frozenset(f.labels if labels is None else labels)
     if len(labels) > cap:
         raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")
-    orders = _compatible_orders_of(f, labels, cap)
-    heights = {}
-    level = 0
-    while orders:
-        minima = {order[0] for order in orders}
-        for v in minima:
-            heights[v] = level
-        orders = list({tuple(v for v in order if v not in minima) for order in orders})
-        orders = [o for o in orders if o]
-        level += 1
-    return heights
+    if labels != f.labels:
+        raise NotInImage("the labels differ from those of the fraction")
+    return reconstruct(f, cap).height_map
 
 
 def _split_factors_by_support(forms, left, right):
@@ -104,8 +107,9 @@ def _reconstruct_connected(f: FactoredFraction, labels, cap) -> Shrub:
         if f.num or f.den != (LinearForm(((a, 1),)),):
             raise NotInImage("a single-vertex fraction must be 1/u")
         return trivial_shrub(a)
-    orders = _compatible_orders_of(f, labels, cap)
-    roots = sorted({order[0] for order in orders}, key=label_key)
+    if len(labels) > cap:
+        raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")
+    roots = _roots(f, labels)
     full = LinearForm.sum_of(labels)
     if full not in f.den:
         raise NotInImage("a connected fraction needs the full-sum denominator factor")
@@ -167,12 +171,15 @@ def _reconstruct(f: FactoredFraction, labels, cap) -> Shrub:
     return functools.reduce(disjoint_union, pieces)
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded, so that a long stream of distinct fractions cannot grow memory
+# without limit.  1024 still holds one whole orbit at the default orbit cap 5
+# (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
+@functools.lru_cache(maxsize=1024)
 def _reconstruct_checked(f: FactoredFraction, cap: int) -> Shrub:
     if f.sign != 1 or f.scalar != 1:
         raise NotInImage("a shrub fraction has sign +1 and scalar 1")
     shrub = _reconstruct(f, frozenset(f.labels), cap)
-    if kappa(shrub) != f:
+    if fraction_of_shrub(shrub) != f:
         raise NotInImage("the rebuilt shrub does not reproduce the fraction")
     return shrub
 
@@ -180,6 +187,7 @@ def _reconstruct_checked(f: FactoredFraction, cap: int) -> Shrub:
 def reconstruct(f: FactoredFraction, cap: int = 6) -> Shrub:
     """The unique shrub whose fraction is ``f``; ``NotInImage`` otherwise.
 
-    The final result is always verified against the forward map.
+    The final result is always verified against the closed-formula
+    forward map, :func:`fraction_of_shrub`.
     """
     return _reconstruct_checked(f, cap)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shrubs
 from shrubs import (
     SignedShrub,
     Shrub,
@@ -26,6 +31,16 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*args):
+    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = str(Path(shrubs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shrubs.cli", *args], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCli:
@@ -128,3 +143,33 @@ class TestCli:
         _, first, _ = run(capsys, "decompose", edge_file)
         _, second, _ = run(capsys, "decompose", edge_file)
         assert first == second
+
+
+class TestMalformedInput:
+    """Malformed input exits 1 with one line on stderr and no traceback."""
+
+    def check_clean_failure(self, *args):
+        code, out, err = run_process(*args)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_fraction_with_zero_scalar_denominator(self, tmp_path):
+        ffile = tmp_path / "frac.txt"
+        ffile.write_text("2/0*(u1)")
+        err = self.check_clean_failure("reconstruct", str(ffile))
+        assert err.startswith("ValueError:")
+
+    def test_shrub_without_height(self, tmp_path):
+        sfile = tmp_path / "shrub.json"
+        sfile.write_text('{"vertices":[1]}')
+        err = self.check_clean_failure("fraction", str(sfile))
+        assert err.startswith("ValueError:") and "height" in err
+
+    def test_shrub_as_top_level_list(self, tmp_path):
+        sfile = tmp_path / "shrub.json"
+        sfile.write_text("[1, 2]")
+        err = self.check_clean_failure("fraction", str(sfile))
+        assert err.startswith("ValueError:")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -87,7 +88,7 @@ class TestReconstruct:
 
     def test_larger_random_roundtrips(self):
         rng = random.Random(17)
-        for n in (6, 7):
+        for n in (6, 7, 8, 9, 10):
             for _ in range(8):
                 P = random_shrub(range(1, n + 1), rng)
                 assert reconstruct(kappa(P), cap=n) == P
@@ -115,6 +116,33 @@ class TestReconstruct:
             # connected support but no full-sum denominator factor
             f = FactoredFraction(den=[form((1, 1)), form((2, 1)), form((1, 1), (2, 2))])
             reconstruct(f)
+
+    def test_rejection_of_perturbed_fractions(self):
+        # Outside the image the final certificate does the rejecting: each
+        # variant either rebuilds a shrub with exactly that fraction or raises
+        # NotInImage.  The counts are those of root finding by order extraction.
+        def variants(f, labels):
+            for k in range(len(f.num)):
+                yield FactoredFraction(f.sign, f.scalar, f.num[:k] + f.num[k + 1 :], f.den)
+            for k in range(len(f.den)):
+                yield FactoredFraction(f.sign, f.scalar, f.num, f.den[:k] + f.den[k + 1 :])
+            for a, b in combinations(labels, 2):
+                pair = LinearForm.sum_of((a, b))
+                yield FactoredFraction(f.sign, f.scalar, f.num, f.den + (pair,))
+                yield FactoredFraction(f.sign, f.scalar, f.num + (pair,), f.den)
+
+        returned = rejected = 0
+        for n in range(1, 5):
+            for P in all_shrubs(n):
+                for g in variants(fraction_of_shrub(P), P.labels):
+                    try:
+                        Q = reconstruct(g, cap=n)
+                    except NotInImage:
+                        rejected += 1
+                    else:
+                        assert fraction_of_shrub(Q) == g
+                        returned += 1
+        assert (returned, rejected) == (296, 3154)
 
     def test_not_in_image_mixed_support(self):
         # numerator straddling the would-be graft split
