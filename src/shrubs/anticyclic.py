@@ -7,6 +7,13 @@ under this action: the permuted fraction is, up to sign, again the fraction
 of a shrub.  The convention is fixed once and pinned by the group-law
 tests: a permutation replaces each variable ``u_k`` by ``u_{sigma(k)}``.
 
+Every factor of a shrub fraction is a 0/1 sum, kept here as the bitmask of
+its labels.  With ``k0 = sigma^-1(0)``, a factor over ``S`` maps to the sum
+over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when ``k0`` is in ``S``
+it maps to minus the sum over the complement of ``sigma(S - {k0})``.  So the
+action never leaves 0/1 sums, and :func:`act` and :func:`orbit` work on
+masks, rebuilding a shrub (:func:`reconstruct`) once per result.
+
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
 sign; :func:`forest_act` computes it there and agrees with :func:`act`.
@@ -20,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Shrub
-from .errors import CapExceeded, NotAForest, NotInImage
-from .mould import FactoredFraction, kappa
+from .errors import CapExceeded, NotAForest
+from .mould import FactoredFraction, LinearForm, fraction_of_shrub
 from .reconstruction import reconstruct
 
 
@@ -78,37 +85,85 @@ def _check_permutation(sigma, n):
     return sigma
 
 
-def permuted_fraction(sigma, f: FactoredFraction, n: int) -> FactoredFraction:
-    """Replace each ``u_k`` by ``u_{sigma(k)}`` and eliminate ``u0``.
+def _masks(forms) -> tuple:
+    return tuple(sorted(sum(1 << v for v, _ in g.terms) for g in forms))
 
-    Each substituted factor renormalizes to a primitive form, feeding its
-    extracted sign into the fraction's global sign.
+
+def _form(mask) -> LinearForm:
+    return LinearForm(tuple((v, 1) for v in range(1, mask.bit_length()) if mask >> v & 1))
+
+
+def _subset_action(sigma, n):
+    """``sigma`` acting on the 0/1 factor over a label set, as
+    ``mask -> (image mask, sign)``; images are memoized per call."""
+    k0 = sigma.index(0)
+    full = (1 << (n + 1)) - 2
+    images = {}
+
+    def image(mask):
+        hit = images.get(mask)
+        if hit is None:
+            flip = k0 and mask >> k0 & 1
+            rest = mask & ~(1 << k0) if flip else mask
+            out = 0
+            for k in range(1, n + 1):
+                if rest >> k & 1:
+                    out |= 1 << sigma[k]
+            hit = images[mask] = (full ^ out, -1) if flip else (out, 1)
+        return hit
+
+    return image
+
+
+def _step(image, key):
+    """Apply a subset action to a ``(sign, num masks, den masks)`` key.
+
+    The action is an invertible linear map, so distinct factors stay
+    distinct and a reduced fraction stays reduced: nothing cancels.
     """
-    mapping = {}
-    minus_all = {j: -1 for j in range(1, n + 1)}
-    for k in range(1, n + 1):
-        img = sigma[k]
-        mapping[k] = dict(minus_all) if img == 0 else {img: 1}
-    return f.substitute(mapping)
+    sign, num, den = key
+    out = []
+    for masks in (num, den):
+        images = []
+        for mask in masks:
+            m, s = image(mask)
+            sign *= s
+            images.append(m)
+        out.append(tuple(sorted(images)))
+    return sign, out[0], out[1]
+
+
+def _key(x: SignedShrub) -> tuple:
+    f = fraction_of_shrub(x.shrub)
+    return x.sign, _masks(f.num), _masks(f.den)
+
+
+def _signed_shrub(key) -> SignedShrub:
+    """The signed shrub of a key, rebuilt from its fraction and certified."""
+    sign, num, den = key
+    f = FactoredFraction(1, 1, [_form(m) for m in num], [_form(m) for m in den])
+    return SignedShrub(sign, reconstruct(f))
 
 
 def act(sigma, x: SignedShrub) -> SignedShrub:
     """Action of a permutation of ``{0..n}`` on a signed shrub.
 
-    Permutations fixing 0 reduce to plain relabeling; the general case goes
-    through the fraction and back.  Failure to land on a shrub fraction
-    would be a closure bug, surfaced as ``NotInImage``.
+    Maps each factor mask of the fraction of ``x`` (see the module
+    docstring), then rebuilds the shrub.  Permutations fixing 0 reduce to
+    plain relabeling.  Failure to land on a shrub fraction would be a
+    closure bug, surfaced as ``NotInImage`` by the certified rebuild.
     """
     sigma = _check_permutation(sigma, x.n)
-    f = permuted_fraction(sigma, kappa(x.shrub), x.n)
-    if f.scalar != 1:
-        raise NotInImage(f"permuted fraction has scalar {f.scalar}")
-    shrub = reconstruct(f.magnitude())
-    return SignedShrub(x.sign * f.sign, shrub)
+    return _signed_shrub(_step(_subset_action(sigma, x.n), _key(x)))
 
 
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
-    """Closure of ``x`` under the full index-0 action, sorted."""
+    """Closure of ``x`` under the full index-0 action, sorted.
+
+    A breadth-first search over factor masks under the adjacent
+    transpositions, starting from one fraction of ``x``.  Each member other
+    than ``x`` is rebuilt once, when first reached.
+    """
     n = x.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the orbit cap {cap}")
@@ -116,19 +171,20 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     for i in range(n):
         sigma = list(range(n + 1))
         sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-        generators.append(tuple(sigma))
-    seen = {x}
-    frontier = [x]
+        generators.append(_subset_action(sigma, n))
+    start = _key(x)
+    members = {start: x}
+    frontier = [start]
     while frontier:
         new = []
-        for y in frontier:
-            for sigma in generators:
-                z = act(sigma, y)
-                if z not in seen:
-                    seen.add(z)
+        for key in frontier:
+            for image in generators:
+                z = _step(image, key)
+                if z not in members:
+                    members[z] = _signed_shrub(z)
                     new.append(z)
         frontier = new
-    return tuple(sorted(seen, key=SignedShrub.sort_key))
+    return tuple(sorted(members.values(), key=SignedShrub.sort_key))
 
 
 def orbit_invariant(x: SignedShrub) -> OrbitInvariant:
@@ -138,7 +194,7 @@ def orbit_invariant(x: SignedShrub) -> OrbitInvariant:
     to ``n+1-k``.  Constant on every orbit of the index-0 action.
     """
     n = x.n
-    f = kappa(x.shrub)
+    f = fraction_of_shrub(x.shrub)
 
     def fold(k):
         return n + 1 - k if 2 * k > n + 1 else k

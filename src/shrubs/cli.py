@@ -14,7 +14,7 @@ import sys
 
 from . import checks
 from .anticyclic import SignedShrub, act, orbit, orbit_invariant
-from .core import Shrub, enumerate_shrubs_bruteforce
+from .core import Shrub, enumerate_shrubs_bruteforce, parse_json
 from .errors import ShrubError
 from .mould import format_fraction, fraction_of_shrub, parse_fraction
 from .operad import GenWord, compose, decompose, enumerate_shrubs_by_generators, evaluate
@@ -29,7 +29,7 @@ def _load_shrub(path) -> Shrub:
 
 def _load_signed(path) -> SignedShrub:
     with open(path) as fh:
-        return SignedShrub.from_json_dict(json.load(fh))
+        return SignedShrub.from_json_dict(parse_json(fh.read()))
 
 
 def _parse_label(text):

@@ -60,6 +60,14 @@ def _check_label(label):
     return label
 
 
+def parse_json(text: str):
+    """``json.loads``, reporting nesting too deep for the parser as ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _bits(mask):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -520,7 +528,7 @@ class Shrub:
 
     @classmethod
     def from_json(cls, text: str) -> "Shrub":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(parse_json(text))
 
     def to_dot(self) -> str:
         """DOT drawing with one rank per height, height increasing upward."""

@@ -17,7 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .core import Shrub, label_key, trivial_shrub
+from .core import Shrub, label_key, parse_json, trivial_shrub
 from .errors import CapExceeded, LabelClash, MalformedWord, UnknownLabel
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
@@ -146,8 +146,8 @@ class GenWord:
     @classmethod
     def from_json(cls, text: str) -> "GenWord":
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+            obj = parse_json(text)
+        except ValueError as exc:
             raise MalformedWord(f"invalid JSON: {exc}") from None
         return cls.from_json_obj(obj)
 

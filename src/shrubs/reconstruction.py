@@ -19,7 +19,6 @@ import functools
 from .core import Shrub, label_key
 from .errors import CapExceeded, NotInImage
 from .mould import FactoredFraction, LinearForm, fraction_of_shrub
-from .mould import kappa  # noqa: F401  (unused here; perfbench's tracer rewraps it)
 from .operad import disjoint_union, graft, trivial_shrub
 
 

@@ -2,14 +2,20 @@
 
 Nothing here shares logic with the library implementations it checks: the
 pattern scan walks every 4- and 5-vertex induced subgraph, isomorphism
-tries every height-preserving bijection, and the order-composition oracle
-builds shuffles directly.
+tries every height-preserving bijection, the order-composition oracle
+builds shuffles directly, and the index-0 action substitutes variables into
+the compositional fraction ``kappa`` through the generic linear-form path
+(sharing only the inverse, ``reconstruct``, with the library).
 """
 
 import functools
 import itertools
 
+from shrubs.anticyclic import SignedShrub
 from shrubs.core import Shrub, enumerate_shrubs_bruteforce
+from shrubs.errors import NotInImage
+from shrubs.mould import FactoredFraction, kappa
+from shrubs.reconstruction import reconstruct
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,3 +130,25 @@ def shuffle_compose_orders(pi, i, sigma):
     pre, post = pi[:pos], pi[pos + 1 :]
     head, tail = sigma[0], sigma[1:]
     return [pre + (head,) + w for w in _shuffles(post, tail)]
+
+
+def permuted_fraction(sigma, f: FactoredFraction, n: int) -> FactoredFraction:
+    """Replace each ``u_k`` by ``u_{sigma(k)}`` and eliminate ``u0``.
+
+    Each substituted factor renormalizes to a primitive form, feeding its
+    extracted sign into the fraction's global sign.
+    """
+    mapping = {}
+    minus_all = {j: -1 for j in range(1, n + 1)}
+    for k in range(1, n + 1):
+        img = sigma[k]
+        mapping[k] = dict(minus_all) if img == 0 else {img: 1}
+    return f.substitute(mapping)
+
+
+def oracle_act(sigma, x: SignedShrub) -> SignedShrub:
+    """The index-0 action by substitution into ``kappa`` of the shrub."""
+    f = permuted_fraction(sigma, kappa(x.shrub), x.n)
+    if f.scalar != 1:
+        raise NotInImage(f"permuted fraction has scalar {f.scalar}")
+    return SignedShrub(x.sign * f.sign, reconstruct(f.magnitude()))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from shrubs import (
 from shrubs.checks import random_shrub
 from shrubs.errors import CapExceeded
 
-from oracles import all_shrubs
+from oracles import all_shrubs, oracle_act
 
 
 def tau(i, n):
@@ -33,8 +34,18 @@ def tau(i, n):
     return tuple(sigma)
 
 
+def adjacent(i, n):
+    sigma = list(range(n + 1))
+    sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+    return tuple(sigma)
+
+
 def signed(P, sign=1):
     return SignedShrub(sign, P)
+
+
+def all_signed(n):
+    return [SignedShrub(s, P) for P in all_shrubs(n) for s in (1, -1)]
 
 
 class TestAct:
@@ -90,6 +101,36 @@ class TestAct:
     def test_bad_permutation(self):
         with pytest.raises(ValueError):
             act((0, 1), signed(pair_generator(1, 2)))
+
+
+class TestAgainstSubstitution:
+    """``act`` and ``orbit`` against the generic substitution into ``kappa``."""
+
+    def test_act_every_permutation(self):
+        for n in range(1, 4):
+            for x in all_signed(n):
+                for sigma in itertools.permutations(range(n + 1)):
+                    assert act(sigma, x) == oracle_act(sigma, x)
+
+    def test_act_transpositions_n4(self):
+        n = 4
+        sigmas = {adjacent(i, n) for i in range(n)} | {tau(i, n) for i in range(1, n + 1)}
+        for x in all_signed(n):
+            for sigma in sigmas:
+                assert act(sigma, x) == oracle_act(sigma, x)
+
+    def test_orbit_is_the_closure(self):
+        for n in range(1, 5):
+            remaining = set(all_signed(n))
+            while remaining:
+                x = remaining.pop()
+                closure = frontier = {x}
+                while frontier:
+                    frontier = {oracle_act(adjacent(i, n), y) for y in frontier for i in range(n)}
+                    frontier -= closure
+                    closure = closure | frontier
+                assert orbit(x) == tuple(sorted(closure, key=SignedShrub.sort_key))
+                remaining -= closure
 
 
 class TestOrbits:

@@ -173,3 +173,10 @@ class TestMalformedInput:
         sfile.write_text("[1, 2]")
         err = self.check_clean_failure("fraction", str(sfile))
         assert err.startswith("ValueError:")
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate", "orbit"])
+    def test_deeply_nested_json(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        err = self.check_clean_failure(command, str(path))
+        assert "nested too deeply" in err
