@@ -7,12 +7,14 @@ under this action: the permuted fraction is, up to sign, again the fraction
 of a shrub.  The convention is fixed once and pinned by the group-law
 tests: a permutation replaces each variable ``u_k`` by ``u_{sigma(k)}``.
 
-Every factor of a shrub fraction is a 0/1 sum, kept here as the bitmask of
-its labels.  With ``k0 = sigma^-1(0)``, a factor over ``S`` maps to the sum
-over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when ``k0`` is in ``S``
-it maps to minus the sum over the complement of ``sigma(S - {k0})``.  So the
-action never leaves 0/1 sums, and :func:`act` and :func:`orbit` work on
-masks, rebuilding a shrub (:func:`reconstruct`) once per result.
+Every factor of a shrub fraction is a 0/1 sum, kept here as the label mask
+of :func:`shrub_masks`.  With ``k0 = sigma^-1(0)``, a factor over ``S``
+maps to the sum over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when
+``k0`` is in ``S`` it maps to minus the sum over the complement of
+``sigma(S - {k0})``.  So the action never leaves 0/1 sums: :func:`act` and
+:func:`orbit` work on ``(sign, num masks, den masks)`` keys and rebuild a
+shrub from the masks of each result, through the cache behind
+:func:`reconstruct`.  No factored fraction is built.
 
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
@@ -26,10 +28,10 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Shrub
+from .core import Shrub, _bits
 from .errors import CapExceeded, NotAForest
-from .mould import FactoredFraction, LinearForm, fraction_of_shrub
-from .reconstruction import reconstruct
+from .mould import shrub_masks
+from .reconstruction import DEFAULT_CAP, _reconstruct_checked
 
 
 class OrbitInvariant(NamedTuple):
@@ -85,31 +87,22 @@ def _check_permutation(sigma, n):
     return sigma
 
 
-def _masks(forms) -> tuple:
-    return tuple(sorted(sum(1 << v for v, _ in g.terms) for g in forms))
-
-
-def _form(mask) -> LinearForm:
-    return LinearForm(tuple((v, 1) for v in range(1, mask.bit_length()) if mask >> v & 1))
-
-
 def _subset_action(sigma, n):
     """``sigma`` acting on the 0/1 factor over a label set, as
-    ``mask -> (image mask, sign)``; images are memoized per call."""
+    ``mask -> (image mask, sign)``; bit ``k - 1`` stands for label ``k``, as
+    in :func:`shrub_masks` over ``1..n``.  Images are memoized per call."""
     k0 = sigma.index(0)
-    full = (1 << (n + 1)) - 2
+    drop = 1 << (k0 - 1) if k0 else 0
+    full = (1 << n) - 1
     images = {}
 
     def image(mask):
         hit = images.get(mask)
         if hit is None:
-            flip = k0 and mask >> k0 & 1
-            rest = mask & ~(1 << k0) if flip else mask
             out = 0
-            for k in range(1, n + 1):
-                if rest >> k & 1:
-                    out |= 1 << sigma[k]
-            hit = images[mask] = (full ^ out, -1) if flip else (out, 1)
+            for i in _bits(mask & ~drop):
+                out |= 1 << (sigma[i + 1] - 1)
+            hit = images[mask] = (full ^ out, -1) if mask & drop else (out, 1)
         return hit
 
     return image
@@ -134,15 +127,13 @@ def _step(image, key):
 
 
 def _key(x: SignedShrub) -> tuple:
-    f = fraction_of_shrub(x.shrub)
-    return x.sign, _masks(f.num), _masks(f.den)
+    return (x.sign, *shrub_masks(x.shrub))
 
 
-def _signed_shrub(key) -> SignedShrub:
-    """The signed shrub of a key, rebuilt from its fraction and certified."""
+def _signed_shrub(labels, key) -> SignedShrub:
+    """The signed shrub of a key, rebuilt from its masks and certified."""
     sign, num, den = key
-    f = FactoredFraction(1, 1, [_form(m) for m in num], [_form(m) for m in den])
-    return SignedShrub(sign, reconstruct(f))
+    return SignedShrub(sign, _reconstruct_checked((labels, num, den), DEFAULT_CAP))
 
 
 def act(sigma, x: SignedShrub) -> SignedShrub:
@@ -154,14 +145,14 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     closure bug, surfaced as ``NotInImage`` by the certified rebuild.
     """
     sigma = _check_permutation(sigma, x.n)
-    return _signed_shrub(_step(_subset_action(sigma, x.n), _key(x)))
+    return _signed_shrub(x.shrub.labels, _step(_subset_action(sigma, x.n), _key(x)))
 
 
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     """Closure of ``x`` under the full index-0 action, sorted.
 
     A breadth-first search over factor masks under the adjacent
-    transpositions, starting from one fraction of ``x``.  Each member other
+    transpositions, starting from the masks of ``x``.  Each member other
     than ``x`` is rebuilt once, when first reached.
     """
     n = x.n
@@ -172,6 +163,7 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
         sigma = list(range(n + 1))
         sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
         generators.append(_subset_action(sigma, n))
+    labels = x.shrub.labels
     start = _key(x)
     members = {start: x}
     frontier = [start]
@@ -181,7 +173,7 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
             for image in generators:
                 z = _step(image, key)
                 if z not in members:
-                    members[z] = _signed_shrub(z)
+                    members[z] = _signed_shrub(labels, z)
                     new.append(z)
         frontier = new
     return tuple(sorted(members.values(), key=SignedShrub.sort_key))
@@ -194,14 +186,12 @@ def orbit_invariant(x: SignedShrub) -> OrbitInvariant:
     to ``n+1-k``.  Constant on every orbit of the index-0 action.
     """
     n = x.n
-    f = fraction_of_shrub(x.shrub)
+    num, den = shrub_masks(x.shrub)
 
-    def fold(k):
-        return n + 1 - k if 2 * k > n + 1 else k
+    def fold(masks):
+        return tuple(sorted(n + 1 - k if 2 * k > n + 1 else k for k in map(int.bit_count, masks)))
 
-    num = tuple(sorted(fold(len(g.support())) for g in f.num))
-    den = tuple(sorted(fold(len(g.support())) for g in f.den))
-    return OrbitInvariant(num, den)
+    return OrbitInvariant(fold(num), fold(den))
 
 
 def ram_count_preserved(x: SignedShrub) -> int:

@@ -2,8 +2,9 @@
 
 Thin wrappers over the library: every subcommand prints exactly what the
 corresponding library call returns, so results are byte-identical to direct
-use.  Domain errors exit 1 with the error class name on stderr; usage
-errors exit 2.
+use.  Domain errors, and input deep enough to exhaust the interpreter's
+recursion limit, exit 1 with the error class name on stderr; usage errors
+exit 2.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     except ShrubError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .core import Shrub, label_key
+from .core import Shrub, _bits, label_key
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -273,6 +273,9 @@ class LinearForm:
 # -- factored fractions -----------------------------------------------------
 
 
+_ONE = Fraction(1)
+
+
 def _sorted_forms(forms):
     return tuple(sorted(forms, key=LinearForm.sort_key))
 
@@ -313,6 +316,18 @@ class FactoredFraction:
         self.num = _sorted_forms(kept_num)
         self.den = _sorted_forms(kept_den)
         self._hash = hash((self.sign, self.scalar, self.num, self.den))
+
+    @classmethod
+    def _trusted(cls, num, den) -> "FactoredFraction":
+        """Sign +1 and scalar 1 over already sorted factor tuples sharing
+        no factor (trusted, like ``Shrub._from_parts``)."""
+        self = object.__new__(cls)
+        self.sign = 1
+        self.scalar = _ONE
+        self.num = num
+        self.den = den
+        self._hash = hash((1, _ONE, num, den))
+        return self
 
     @classmethod
     def one(cls) -> "FactoredFraction":
@@ -519,7 +534,8 @@ def parse_fraction(text: str) -> FactoredFraction:
             if form is None:
                 raise ZeroDenominator("zero factor in fraction text")
             sign *= s
-            scalar = scalar * content if in_num else scalar / content
+            if content != 1:
+                scalar = scalar * content if in_num else scalar / content
             target.append(form)
     return FactoredFraction(sign, scalar, num, den)
 
@@ -623,39 +639,85 @@ def embed_zinb(x: ZinbElement) -> MouldElement:
 
 
 # -- the shrub fraction -------------------------------------------------------
+#
+# Every factor of a shrub fraction is a 0/1 sum over labels.  Inside the
+# library a fraction over ``labels`` (sorted by ``label_key``) is therefore
+# kept as two tuples of ints, the numerator and denominator masks, sorted
+# numerically: bit ``i`` of a mask stands for ``labels[i]``.  Factored
+# fractions are built from masks only at the public boundary.
+
+
+def shrub_masks(P: Shrub) -> tuple:
+    """``(num, den)``: the factor masks of the closed formula, over ``P.labels``.
+
+    Each factor sums an upper ideal, computed in one bottom-up pass: a
+    vertex joins the ideal generated by a seed when everything it covers is
+    already in (height-0 vertices cover nothing and join only as seeds).
+
+    * one denominator factor per vertex: the ideal of the vertex;
+    * per ramification class (ramified vertices sharing one cover mask
+      ``t``): a denominator factor, the ideal of ``t``, and a numerator
+      factor, the ideal of ``t`` in the shrub minus the ideal ``I`` of the
+      class -- the ideal of ``t`` plus ``I``, minus ``I``.
+
+    The factors come out distinct and numerator and denominator share none
+    (pinned by the squarefree tests), so nothing is cancelled.
+    """
+    if not P.labels:
+        raise ValueError("the empty shrub has no fraction")
+    covers = P._covers
+    order = sorted(range(len(covers)), key=P._heights.__getitem__)
+
+    def ideal(seed):
+        for i in order:
+            c = covers[i]
+            if c and not c & ~seed:
+                seed |= 1 << i
+        return seed
+
+    den = [ideal(1 << i) for i in range(len(covers))]
+    num = []
+    classes = {}
+    for i, c in enumerate(covers):
+        if c & (c - 1):
+            classes[c] = classes.get(c, 0) | 1 << i
+    for targets, members in classes.items():
+        den.append(ideal(targets))
+        upper = ideal(members)
+        num.append(ideal(targets | upper) & ~upper)
+    num.sort()
+    den.sort()
+    return tuple(num), tuple(den)
+
+
+def _forms(labels, masks) -> tuple:
+    """The 0/1 linear forms of ``masks``, in ``LinearForm.sort_key`` order.
+
+    Labels are sorted by ``label_key``, so ordering the forms is ordering
+    the ascending index tuples of the masks.
+    """
+    idx = sorted(tuple(_bits(m)) for m in masks)
+    return tuple(LinearForm(tuple((labels[i], 1) for i in bits)) for bits in idx)
 
 
 def shrub_fraction_factors(P: Shrub):
-    """Raw numerator/denominator factor lists of the closed formula.
+    """Numerator and denominator factor lists of the closed formula.
 
-    One denominator factor per vertex (the sum over its generated upper
-    ideal); per ramification class ``r`` with target set ``t``: a numerator
-    factor summing the ideal of ``t`` inside the shrub minus the ideal of
-    ``r``, and a denominator factor summing the ideal of ``t``.  The lists
-    are returned unreduced so callers can check they already share nothing.
+    The linear forms of :func:`shrub_masks`, unreduced, so callers can
+    check that they already share nothing.
     """
-    if len(P) == 0:
-        raise ValueError("the empty shrub has no fraction")
-    num, den = [], []
-    for v in sorted(P.labels, key=label_key):
-        den.append(LinearForm.sum_of(P.upper_ideal({v})))
-    heights = P.height_map
-    for rc in P.ram_classes():
-        den.append(LinearForm.sum_of(P.upper_ideal(rc.targets)))
-        outside = set(P.labels) - P.upper_ideal(rc.members)
-        sub = Shrub(
-            outside,
-            {v: heights[v] for v in outside},
-            [e for e in P.edges if e[0] in outside and e[1] in outside],
-        )
-        num.append(LinearForm.sum_of(sub.upper_ideal(rc.targets)))
-    return num, den
+    num, den = shrub_masks(P)
+    return list(_forms(P.labels, num)), list(_forms(P.labels, den))
 
 
 def fraction_of_shrub(P: Shrub) -> FactoredFraction:
-    """The closed-formula fraction of a shrub (reduced, squarefree)."""
-    num, den = shrub_fraction_factors(P)
-    return FactoredFraction(1, 1, num, den)
+    """The closed-formula fraction of a shrub (reduced, squarefree).
+
+    The factors of :func:`shrub_masks` are already reduced, so the result
+    is built without reducing again.
+    """
+    num, den = shrub_masks(P)
+    return FactoredFraction._trusted(_forms(P.labels, num), _forms(P.labels, den))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,14 +1,17 @@
 """Rebuilding a shrub from its factored fraction.
 
-The fraction of a shrub determines it completely.  Reconstruction splits
-into connected pieces read off the denominator supports, finds the roots
-(height 0) of each piece by counting the factors that involve each label,
-and then recurses: a single root strips the full-sum factor; several roots
-locate the unique numerator factor containing them all, whose complement is
-the grafted upper part.  No compatible order is enumerated, so the work is
-polynomial in the number of labels.  Every step validates its bookkeeping
-and the result is checked against the closed formula
-(:func:`fraction_of_shrub`), so a fraction outside the image always raises
+The fraction of a shrub determines it completely.  Reconstruction works on
+label masks (see :func:`shrub_masks`): the fraction is converted once, and
+every step after that is integer arithmetic.  It splits the labels into
+connected pieces read off the denominator masks, finds the roots (height 0)
+of each piece by counting, per label, the factors that involve it, and then
+recurses: a single root strips the full-sum factor; several roots locate
+the unique numerator factor containing them all, whose complement is the
+grafted upper part.  Grafts and disjoint unions are updates of one height
+array and one cover array, and the shrub is built once at the end.  No
+compatible order is enumerated, so the work is polynomial in the number of
+labels.  Every step validates its bookkeeping and the result is checked
+against the closed formula, so a fraction outside the image always raises
 ``NotInImage``.
 """
 
@@ -16,63 +19,48 @@ from __future__ import annotations
 
 import functools
 
-from .core import Shrub, label_key
+from .core import Shrub, _bits, label_key
 from .errors import CapExceeded, NotInImage
-from .mould import FactoredFraction, LinearForm, fraction_of_shrub
-from .operad import disjoint_union, graft, trivial_shrub
+from .mould import FactoredFraction, shrub_masks
+
+DEFAULT_CAP = 6
+
+
+class _Weighted(int):
+    """The label mask of a factor with a coefficient other than 1.
+
+    It takes part in every step that reads supports, as its mask, but
+    equals only a factor with the same linear form, never a 0/1 mask: the
+    exact-form checks (``1/u``, the full sum, the final certificate) reject
+    it.
+    """
+
+    def __new__(cls, mask, form):
+        self = super().__new__(cls, mask)
+        self.form = form
+        return self
+
+    def __eq__(self, other):
+        return isinstance(other, _Weighted) and self.form == other.form
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.form)
 
 
 def fraction_components(f: FactoredFraction) -> tuple:
     """Partition of the labels: two labels meet when some denominator
     factor involves both, transitively closed.  For the fraction of a
     shrub this is exactly the partition into connected components."""
-    labels = sorted(f.labels, key=label_key)
-    parent = {v: v for v in labels}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for form in f.den:
-        support = sorted(form.support(), key=label_key)
-        for other in support[1:]:
-            ra, rb = find(support[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for v in labels:
-        groups.setdefault(find(v), []).append(v)
-    parts = [frozenset(g) for g in groups.values()]
-    parts.sort(key=lambda p: min(label_key(v) for v in p))
-    return tuple(parts)
+    labels, num, den = _record(f)
+    return tuple(
+        frozenset(labels[i] for i in _bits(part)) for part in _components(den, _support(num, den))
+    )
 
 
-def _roots(f: FactoredFraction, labels) -> list:
-    """Height-0 vertices of a connected piece, read off factor counts.
-
-    In ``f * (sum of the labels)`` every embedded compatible order has
-    degree 0 in ``u_a`` when it starts with ``a`` and negative degree
-    otherwise, so ``a`` is a root exactly when as many numerator factors
-    as denominator factors involve ``u_a``.  More numerator factors cannot
-    come from any shrub.
-    """
-    F = f * FactoredFraction(num=[LinearForm.sum_of(labels)])
-    roots = []
-    for a in sorted(labels, key=label_key):
-        dn = sum(1 for g in F.num if a in g.support())
-        dd = sum(1 for g in F.den if a in g.support())
-        if dn > dd:
-            raise NotInImage(f"degree in u{a} grows: not an order combination")
-        if dn == dd:
-            roots.append(a)
-    if not roots:
-        raise NotInImage("no label can start a compatible order")
-    return roots
-
-
-def recover_heights(f: FactoredFraction, labels=None, cap: int = 6) -> dict:
+def recover_heights(f: FactoredFraction, labels=None, cap: int = DEFAULT_CAP) -> dict:
     """Height map of the underlying shrub.
 
     Read off the certified reconstruction, whose roots come from factor
@@ -87,106 +75,202 @@ def recover_heights(f: FactoredFraction, labels=None, cap: int = 6) -> dict:
     return reconstruct(f, cap).height_map
 
 
-def _split_factors_by_support(forms, left, right):
-    out_left, out_right = [], []
-    for form in forms:
-        support = form.support()
-        if support <= left:
-            out_left.append(form)
-        elif support <= right:
-            out_right.append(form)
-        else:
-            raise NotInImage(f"factor {form.text()} straddles the graft split")
-    return out_left, out_right
+def _record(f: FactoredFraction) -> tuple:
+    """``(labels, num masks, den masks)`` of ``f``, masks sorted numerically."""
+    labels = tuple(sorted({v for g in f.num + f.den for v, _ in g.terms}, key=label_key))
+    index = {v: i for i, v in enumerate(labels)}
+
+    def mask(form):
+        m = 0
+        unit = True
+        for v, c in form.terms:
+            m |= 1 << index[v]
+            unit = unit and c == 1
+        return m if unit else _Weighted(m, form)
+
+    return labels, tuple(sorted(map(mask, f.num))), tuple(sorted(map(mask, f.den)))
 
 
-def _reconstruct_connected(f: FactoredFraction, labels, cap) -> Shrub:
-    if len(labels) == 1:
-        (a,) = labels
-        if f.num or f.den != (LinearForm(((a, 1),)),):
-            raise NotInImage("a single-vertex fraction must be 1/u")
-        return trivial_shrub(a)
-    if len(labels) > cap:
-        raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")
-    roots = _roots(f, labels)
-    full = LinearForm.sum_of(labels)
-    if full not in f.den:
-        raise NotInImage("a connected fraction needs the full-sum denominator factor")
-    den = list(f.den)
-    den.remove(full)
-    if len(roots) == 1:
-        (i,) = roots
-        rest = FactoredFraction(f.sign, f.scalar, f.num, den)
-        if i in rest.labels:
-            raise NotInImage(f"u{i} survives after stripping the root factor")
-        return graft(trivial_shrub(i), _reconstruct(rest, labels - {i}, cap))
-    root_set = frozenset(roots)
-    candidates = [g for g in f.num if root_set <= g.support()]
-    if len(candidates) != 1:
-        raise NotInImage(
-            f"{len(candidates)} numerator factors contain every height-0 vertex (need exactly 1)"
-        )
-    alpha = candidates[0]
-    q_labels = alpha.support()
-    r_labels = labels - q_labels
-    if not r_labels:
-        raise NotInImage("the graft numerator factor must miss some label")
-    num = list(f.num)
-    num.remove(alpha)
-    num_q, num_r = _split_factors_by_support(num, q_labels, r_labels)
-    den_q, den_r = _split_factors_by_support(den, q_labels, r_labels)
-    fq = FactoredFraction(f.sign, f.scalar, num_q, den_q)
-    fr = FactoredFraction(1, 1, num_r, den_r)
-    return graft(_reconstruct(fq, q_labels, cap), _reconstruct(fr, r_labels, cap))
+def _support(*factor_lists) -> int:
+    out = 0
+    for masks in factor_lists:
+        for m in masks:
+            out |= m
+    return out
 
 
-def _reconstruct(f: FactoredFraction, labels, cap) -> Shrub:
-    if not labels:
-        raise NotInImage("no labels to reconstruct from")
-    parts = fraction_components(f)
-    covered = set().union(*parts) if parts else set()
-    if covered != labels:
-        raise NotInImage("some label appears in no denominator factor")
-    if len(parts) == 1:
-        return _reconstruct_connected(f, labels, cap)
-    num_by_part = {p: [] for p in parts}
-    den_by_part = {p: [] for p in parts}
-    for source, sink in ((f.num, num_by_part), (f.den, den_by_part)):
-        for form in source:
-            support = form.support()
-            home = next((p for p in parts if support <= p), None)
-            if home is None:
-                raise NotInImage(f"factor {form.text()} straddles components")
-            sink[home].append(form)
-    pieces = []
-    for k, p in enumerate(parts):
-        piece_fraction = FactoredFraction(
-            f.sign if k == 0 else 1,
-            f.scalar if k == 0 else 1,
-            num_by_part[p],
-            den_by_part[p],
-        )
-        pieces.append(_reconstruct(piece_fraction, p, cap))
-    return functools.reduce(disjoint_union, pieces)
+def _components(den, labels) -> list:
+    """The labels split by the denominator masks (merged while they
+    overlap), ordered by least label."""
+    parts = []
+    for m in den:
+        merged = int(m)
+        apart = []
+        for p in parts:
+            if p & merged:
+                merged |= p
+            else:
+                apart.append(p)
+        apart.append(merged)
+        parts = apart
+    for i in _bits(labels & ~_support(den)):
+        parts.append(1 << i)
+    parts.sort(key=lambda p: p & -p)
+    return parts
+
+
+def _first_text(labels, masks) -> str:
+    """Text of the first of ``masks`` in ``LinearForm.sort_key`` order."""
+    index = {v: i for i, v in enumerate(labels)}
+
+    def key(m):
+        if isinstance(m, _Weighted):
+            return tuple((index[v], c) for v, c in m.form.terms)
+        return tuple((i, 1) for i in _bits(m))
+
+    m = min(masks, key=key)
+    if isinstance(m, _Weighted):
+        return m.form.text()
+    return "+".join(f"u{labels[i]}" for i in _bits(m))
+
+
+def _roots(num, den, part, labels) -> int:
+    """Mask of the height-0 vertices of a connected piece, from factor counts.
+
+    In ``f * (sum of the labels)`` every embedded compatible order has
+    degree 0 in ``u_a`` when it starts with ``a`` and negative degree
+    otherwise, so ``a`` is a root exactly when as many numerator factors
+    as denominator factors involve ``u_a``.  More numerator factors cannot
+    come from any shrub.  (A full-sum denominator factor would cancel the
+    multiplier; that changes both counts by one and not the comparison.)
+    """
+    roots = 0
+    for i in _bits(part):
+        bit = 1 << i
+        excess = 1
+        for g in num:
+            if g & bit:
+                excess += 1
+        for g in den:
+            if g & bit:
+                excess -= 1
+        if excess > 0:
+            raise NotInImage(f"degree in u{labels[i]} grows: not an order combination")
+        if not excess:
+            roots |= bit
+    if not roots:
+        raise NotInImage("no label can start a compatible order")
+    return roots
+
+
+def _split(masks, q, r, labels):
+    """``masks`` split into those inside ``q`` and those inside ``r``."""
+    in_q, in_r, straddling = [], [], []
+    for m in masks:
+        (in_q if not m & ~q else in_r if not m & ~r else straddling).append(m)
+    if straddling:
+        raise NotInImage(f"factor {_first_text(labels, straddling)} straddles the graft split")
+    return in_q, in_r
+
+
+class _Builder:
+    """Heights and cover masks of the shrub being rebuilt, over all labels.
+
+    Each piece is rebuilt with its roots at height 0; a graft raises the
+    upper piece by one and joins its roots to the roots of the lower one.
+    """
+
+    def __init__(self, labels, cap):
+        self.labels = labels
+        self.cap = cap
+        self.heights = [0] * len(labels)
+        self.covers = [0] * len(labels)
+
+    def graft(self, low, high):
+        heights, covers = self.heights, self.covers
+        low_roots = 0
+        for i in _bits(low):
+            if not heights[i]:
+                low_roots |= 1 << i
+        for i in _bits(high):
+            if not heights[i]:
+                covers[i] |= low_roots
+            heights[i] += 1
+
+    def rebuild(self, num, den, part):
+        if not part:
+            raise NotInImage("no labels to reconstruct from")
+        if _support(num, den) != part:
+            raise NotInImage("some label appears in no denominator factor")
+        parts = _components(den, part) if part & (part - 1) else [part]
+        if len(parts) == 1:
+            return self.rebuild_connected(num, den, part)
+        straddling = [m for m in num if not any(not m & ~p for p in parts)]
+        if straddling:
+            raise NotInImage(f"factor {_first_text(self.labels, straddling)} straddles components")
+        for p in parts:
+            self.rebuild([m for m in num if m & p], [m for m in den if m & p], p)
+
+    def rebuild_connected(self, num, den, part):
+        labels = self.labels
+        if not part & (part - 1):
+            if num or den != [part]:
+                raise NotInImage("a single-vertex fraction must be 1/u")
+            return
+        size = part.bit_count()
+        if size > self.cap:
+            raise CapExceeded(f"{size} labels exceed the extraction cap {self.cap}")
+        roots = _roots(num, den, part, labels)
+        if part not in den:
+            raise NotInImage("a connected fraction needs the full-sum denominator factor")
+        den = list(den)
+        den.remove(part)
+        if not roots & (roots - 1):
+            if _support(num, den) & roots:
+                root = labels[roots.bit_length() - 1]
+                raise NotInImage(f"u{root} survives after stripping the root factor")
+            self.rebuild(num, den, part ^ roots)
+            self.graft(roots, part ^ roots)
+            return
+        candidates = [k for k, m in enumerate(num) if not roots & ~m]
+        if len(candidates) != 1:
+            raise NotInImage(
+                f"{len(candidates)} numerator factors contain every height-0 vertex (need exactly 1)"
+            )
+        (k,) = candidates
+        low = int(num[k])
+        high = part & ~low
+        if not high:
+            raise NotInImage("the graft numerator factor must miss some label")
+        num_low, num_high = _split(num[:k] + num[k + 1 :], low, high, labels)
+        den_low, den_high = _split(den, low, high, labels)
+        self.rebuild(num_low, den_low, low)
+        self.rebuild(num_high, den_high, high)
+        self.graft(low, high)
 
 
 # Bounded, so that a long stream of distinct fractions cannot grow memory
 # without limit.  1024 still holds one whole orbit at the default orbit cap 5
 # (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
 @functools.lru_cache(maxsize=1024)
-def _reconstruct_checked(f: FactoredFraction, cap: int) -> Shrub:
-    if f.sign != 1 or f.scalar != 1:
-        raise NotInImage("a shrub fraction has sign +1 and scalar 1")
-    shrub = _reconstruct(f, frozenset(f.labels), cap)
-    if fraction_of_shrub(shrub) != f:
+def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
+    """The shrub of a ``(labels, num masks, den masks)`` record (sign +1,
+    scalar 1), certified by comparing its own masks with the record's."""
+    labels, num, den = record
+    builder = _Builder(labels, cap)
+    builder.rebuild(list(num), list(den), (1 << len(labels)) - 1)
+    shrub = Shrub._from_parts(labels, tuple(builder.heights), tuple(builder.covers))
+    if shrub_masks(shrub) != (num, den):
         raise NotInImage("the rebuilt shrub does not reproduce the fraction")
     return shrub
 
 
-def reconstruct(f: FactoredFraction, cap: int = 6) -> Shrub:
+def reconstruct(f: FactoredFraction, cap: int = DEFAULT_CAP) -> Shrub:
     """The unique shrub whose fraction is ``f``; ``NotInImage`` otherwise.
 
     The final result is always verified against the closed-formula
-    forward map, :func:`fraction_of_shrub`.
+    forward map, :func:`shrub_masks`.
     """
-    return _reconstruct_checked(f, cap)
+    if f.sign != 1 or f.scalar != 1:
+        raise NotInImage("a shrub fraction has sign +1 and scalar 1")
+    return _reconstruct_checked(_record(f), cap)

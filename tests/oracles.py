@@ -3,18 +3,21 @@
 Nothing here shares logic with the library implementations it checks: the
 pattern scan walks every 4- and 5-vertex induced subgraph, isomorphism
 tries every height-preserving bijection, the order-composition oracle
-builds shuffles directly, and the index-0 action substitutes variables into
+builds shuffles directly, the index-0 action substitutes variables into
 the compositional fraction ``kappa`` through the generic linear-form path
-(sharing only the inverse, ``reconstruct``, with the library).
+(sharing only the inverse, ``reconstruct``, with the library), and the
+closed formula and its inverse run on linear forms, factored fractions and
+validated sub-shrubs instead of label masks.
 """
 
 import functools
 import itertools
 
 from shrubs.anticyclic import SignedShrub
-from shrubs.core import Shrub, enumerate_shrubs_bruteforce
-from shrubs.errors import NotInImage
-from shrubs.mould import FactoredFraction, kappa
+from shrubs.core import Shrub, enumerate_shrubs_bruteforce, label_key
+from shrubs.errors import CapExceeded, NotInImage
+from shrubs.mould import FactoredFraction, LinearForm, kappa
+from shrubs.operad import disjoint_union, graft, trivial_shrub
 from shrubs.reconstruction import reconstruct
 
 
@@ -152,3 +155,175 @@ def oracle_act(sigma, x: SignedShrub) -> SignedShrub:
     if f.scalar != 1:
         raise NotInImage(f"permuted fraction has scalar {f.scalar}")
     return SignedShrub(x.sign * f.sign, reconstruct(f.magnitude()))
+
+
+# -- the closed formula and its inverse on linear forms -----------------------
+
+
+def oracle_fraction_factors(P: Shrub):
+    """The closed formula through ``upper_ideal`` and a validated sub-shrub
+    per ramification class: numerator and denominator forms, unreduced."""
+    if len(P) == 0:
+        raise ValueError("the empty shrub has no fraction")
+    num, den = [], []
+    for v in sorted(P.labels, key=label_key):
+        den.append(LinearForm.sum_of(P.upper_ideal({v})))
+    heights = P.height_map
+    for rc in P.ram_classes():
+        den.append(LinearForm.sum_of(P.upper_ideal(rc.targets)))
+        outside = set(P.labels) - P.upper_ideal(rc.members)
+        sub = Shrub(
+            outside,
+            {v: heights[v] for v in outside},
+            [e for e in P.edges if e[0] in outside and e[1] in outside],
+        )
+        num.append(LinearForm.sum_of(sub.upper_ideal(rc.targets)))
+    return num, den
+
+
+def oracle_fraction(P: Shrub) -> FactoredFraction:
+    return FactoredFraction(1, 1, *oracle_fraction_factors(P))
+
+
+def oracle_components(f: FactoredFraction) -> tuple:
+    """Labels joined by shared denominator factors, by union-find."""
+    labels = sorted(f.labels, key=label_key)
+    parent = {v: v for v in labels}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for form in f.den:
+        support = sorted(form.support(), key=label_key)
+        for other in support[1:]:
+            ra, rb = find(support[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for v in labels:
+        groups.setdefault(find(v), []).append(v)
+    parts = [frozenset(g) for g in groups.values()]
+    parts.sort(key=lambda p: min(label_key(v) for v in p))
+    return tuple(parts)
+
+
+def _oracle_roots(f: FactoredFraction, labels) -> list:
+    F = f * FactoredFraction(num=[LinearForm.sum_of(labels)])
+    roots = []
+    for a in sorted(labels, key=label_key):
+        dn = sum(1 for g in F.num if a in g.support())
+        dd = sum(1 for g in F.den if a in g.support())
+        if dn > dd:
+            raise NotInImage(f"degree in u{a} grows: not an order combination")
+        if dn == dd:
+            roots.append(a)
+    if not roots:
+        raise NotInImage("no label can start a compatible order")
+    return roots
+
+
+def _split_by_support(forms, left, right):
+    out_left, out_right = [], []
+    for form in forms:
+        support = form.support()
+        if support <= left:
+            out_left.append(form)
+        elif support <= right:
+            out_right.append(form)
+        else:
+            raise NotInImage(f"factor {form.text()} straddles the graft split")
+    return out_left, out_right
+
+
+def _oracle_connected(f: FactoredFraction, labels, cap) -> Shrub:
+    if len(labels) == 1:
+        (a,) = labels
+        if f.num or f.den != (LinearForm(((a, 1),)),):
+            raise NotInImage("a single-vertex fraction must be 1/u")
+        return trivial_shrub(a)
+    if len(labels) > cap:
+        raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")
+    roots = _oracle_roots(f, labels)
+    full = LinearForm.sum_of(labels)
+    if full not in f.den:
+        raise NotInImage("a connected fraction needs the full-sum denominator factor")
+    den = list(f.den)
+    den.remove(full)
+    if len(roots) == 1:
+        (i,) = roots
+        rest = FactoredFraction(f.sign, f.scalar, f.num, den)
+        if i in rest.labels:
+            raise NotInImage(f"u{i} survives after stripping the root factor")
+        return graft(trivial_shrub(i), _oracle_rebuild(rest, labels - {i}, cap))
+    root_set = frozenset(roots)
+    candidates = [g for g in f.num if root_set <= g.support()]
+    if len(candidates) != 1:
+        raise NotInImage(
+            f"{len(candidates)} numerator factors contain every height-0 vertex (need exactly 1)"
+        )
+    alpha = candidates[0]
+    q_labels = alpha.support()
+    r_labels = labels - q_labels
+    if not r_labels:
+        raise NotInImage("the graft numerator factor must miss some label")
+    num = list(f.num)
+    num.remove(alpha)
+    num_q, num_r = _split_by_support(num, q_labels, r_labels)
+    den_q, den_r = _split_by_support(den, q_labels, r_labels)
+    fq = FactoredFraction(f.sign, f.scalar, num_q, den_q)
+    fr = FactoredFraction(1, 1, num_r, den_r)
+    return graft(_oracle_rebuild(fq, q_labels, cap), _oracle_rebuild(fr, r_labels, cap))
+
+
+def _oracle_rebuild(f: FactoredFraction, labels, cap) -> Shrub:
+    if not labels:
+        raise NotInImage("no labels to reconstruct from")
+    parts = oracle_components(f)
+    covered = set().union(*parts) if parts else set()
+    if covered != labels:
+        raise NotInImage("some label appears in no denominator factor")
+    if len(parts) == 1:
+        return _oracle_connected(f, labels, cap)
+    num_by_part = {p: [] for p in parts}
+    den_by_part = {p: [] for p in parts}
+    for source, sink in ((f.num, num_by_part), (f.den, den_by_part)):
+        for form in source:
+            support = form.support()
+            home = next((p for p in parts if support <= p), None)
+            if home is None:
+                raise NotInImage(f"factor {form.text()} straddles components")
+            sink[home].append(form)
+    pieces = []
+    for k, p in enumerate(parts):
+        piece_fraction = FactoredFraction(
+            f.sign if k == 0 else 1,
+            f.scalar if k == 0 else 1,
+            num_by_part[p],
+            den_by_part[p],
+        )
+        pieces.append(_oracle_rebuild(piece_fraction, p, cap))
+    return functools.reduce(disjoint_union, pieces)
+
+
+def oracle_reconstruct(f: FactoredFraction, cap: int = 6) -> Shrub:
+    """``reconstruct`` on factored fractions: validated grafts and disjoint
+    unions, certified by :func:`oracle_fraction`; the same checks, in the
+    same order, with the same exceptions and messages."""
+    if f.sign != 1 or f.scalar != 1:
+        raise NotInImage("a shrub fraction has sign +1 and scalar 1")
+    shrub = _oracle_rebuild(f, frozenset(f.labels), cap)
+    if oracle_fraction(shrub) != f:
+        raise NotInImage("the rebuilt shrub does not reproduce the fraction")
+    return shrub
+
+
+def outcome(fn, *args):
+    """``("ok", result)`` or ``(exception class, message)``, for comparing
+    two implementations that must agree on both."""
+    try:
+        return "ok", fn(*args)
+    except (CapExceeded, NotInImage) as exc:
+        return type(exc), str(exc)

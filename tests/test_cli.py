@@ -17,6 +17,7 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
+from shrubs import cli
 from shrubs.cli import main
 
 
@@ -135,6 +136,13 @@ class TestCli:
         assert code == 0
         assert out.startswith("PASS series-parallel/")
 
+    @pytest.mark.parametrize("suite", ["mould", "reconstruction", "anticyclic"])
+    def test_check_suite_smoke(self, capsys, suite):
+        code, out, _ = run(capsys, "check", "--suite", suite, "--max-n", "4")
+        rows = out.splitlines()
+        assert code == 0 and rows
+        assert all(row.startswith(f"PASS {suite}/") for row in rows)
+
     def test_check_unknown_suite(self, capsys):
         code, out, err = run(capsys, "check", "--suite", "nope")
         assert code == 1 and "unknown suite" in err
@@ -145,8 +153,25 @@ class TestCli:
         assert first == second
 
 
+def chain(n):
+    """The path 1 - 2 - ... - n, rooted at 1."""
+    return Shrub(range(1, n + 1), {v: v - 1 for v in range(1, n + 1)}, [(v, v + 1) for v in range(1, n)])
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
 class TestMalformedInput:
-    """Malformed input exits 1 with one line on stderr and no traceback."""
+    """Malformed input exits 1 with one line on stderr and no traceback.
+
+    Input that recurses past the interpreter's limit counts too.  Those
+    cases run in process, each library call under a limit of 100 frames
+    above its caller (restored afterwards), so the inputs stay small.
+    """
 
     def check_clean_failure(self, *args):
         code, out, err = run_process(*args)
@@ -180,3 +205,37 @@ class TestMalformedInput:
         path.write_text("[" * 100_000 + "]" * 100_000)
         err = self.check_clean_failure(command, str(path))
         assert "nested too deeply" in err
+
+    def run_limited(self, capsys, monkeypatch, function, *args):
+        original = getattr(cli, function)
+
+        def limited(*call_args, **kwargs):
+            saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(stack_depth() + 100)
+            try:
+                return original(*call_args, **kwargs)
+            finally:
+                sys.setrecursionlimit(saved)
+
+        monkeypatch.setattr(cli, function, limited)
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("RecursionError:")
+
+    def test_decompose_long_chain(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(chain(150).to_json())
+        self.run_limited(capsys, monkeypatch, "decompose", "decompose", str(path))
+
+    def test_evaluate_deep_word(self, capsys, monkeypatch, tmp_path):
+        word = 0
+        for k in range(1, 151):
+            word = {"gen": "D", "slot": f"s{k}", "args": [k, word]}
+        path = tmp_path / "word.json"
+        path.write_text(json.dumps(word))
+        self.run_limited(capsys, monkeypatch, "evaluate", "evaluate", str(path))
+
+    def test_reconstruct_long_chain(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "frac.txt"
+        path.write_text(format_fraction(fraction_of_shrub(chain(150))))
+        self.run_limited(capsys, monkeypatch, "reconstruct", "reconstruct", str(path), "--cap", "150")

@@ -35,7 +35,7 @@ from shrubs import (
 from shrubs.errors import CapExceeded, DegreeCapExceeded, LabelClash, UnknownLabel, ZeroDenominator
 from shrubs.mould import shrub_fraction_factors
 
-from oracles import all_shrubs
+from oracles import all_shrubs, oracle_fraction, oracle_fraction_factors
 
 
 def form(*pairs):
@@ -196,6 +196,14 @@ class TestShrubFraction:
         for n in range(1, 6):
             for P in all_shrubs(n):
                 assert kappa(P) == fraction_of_shrub(P)
+
+    def test_matches_linear_form_oracle(self):
+        shrubs = [P for n in range(1, 6) for P in all_shrubs(n)]
+        shrubs += random.Random(6).sample(all_shrubs(6), 2000)
+        for P in shrubs:
+            assert fraction_of_shrub(P) == oracle_fraction(P)
+            for got, expected in zip(shrub_fraction_factors(P), oracle_fraction_factors(P)):
+                assert sorted(got, key=LinearForm.sort_key) == sorted(expected, key=LinearForm.sort_key)
 
     def test_raw_factors_already_reduced_and_squarefree(self):
         for n in range(1, 6):

@@ -1,12 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubs import (
     FactoredFraction,
     LinearForm,
     NotInImage,
+    Shrub,
+    ShrubError,
     fraction_components,
     fraction_of_shrub,
     graft_generator,
@@ -19,7 +24,7 @@ from shrubs import (
 )
 from shrubs.checks import random_shrub
 
-from oracles import all_shrubs
+from oracles import all_shrubs, oracle_components, oracle_reconstruct, outcome
 
 FIG2_TEXT = (
     "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
@@ -41,11 +46,13 @@ class TestComponents:
     def test_matches_shrub_components(self):
         for n in range(1, 6):
             for P in all_shrubs(n):
-                parts = fraction_components(fraction_of_shrub(P))
+                f = fraction_of_shrub(P)
+                parts = fraction_components(f)
                 expected = tuple(
                     frozenset(c.labels) for c in P.connected_components()
                 )
                 assert set(parts) == set(expected)
+                assert parts == oracle_components(f)
 
 
 class TestHeights:
@@ -71,7 +78,10 @@ class TestReconstruct:
     def test_roundtrip_exhaustive(self):
         for n in range(1, 6):
             for P in all_shrubs(n):
-                assert reconstruct(kappa(P)) == P
+                Q = reconstruct(kappa(P))
+                assert Q == P
+                # built without validation: re-validating must agree
+                assert Q == Shrub(Q.labels, Q.height_map, Q.edges)
 
     def test_injectivity_of_kappa(self):
         for n in range(1, 6):
@@ -131,17 +141,22 @@ class TestReconstruct:
                 yield FactoredFraction(f.sign, f.scalar, f.num, f.den + (pair,))
                 yield FactoredFraction(f.sign, f.scalar, f.num + (pair,), f.den)
 
+        # Every outcome is also that of the linear-form oracle: the same
+        # shrub, or the same exception class and message.
         returned = rejected = 0
         for n in range(1, 5):
             for P in all_shrubs(n):
                 for g in variants(fraction_of_shrub(P), P.labels):
-                    try:
-                        Q = reconstruct(g, cap=n)
-                    except NotInImage:
-                        rejected += 1
-                    else:
+                    got = outcome(reconstruct, g, n)
+                    assert got == outcome(oracle_reconstruct, g, n)
+                    if got[0] == "ok":
+                        Q = got[1]
                         assert fraction_of_shrub(Q) == g
+                        assert Q == Shrub(Q.labels, Q.height_map, Q.edges)
                         returned += 1
+                    else:
+                        assert got[0] is NotInImage
+                        rejected += 1
         assert (returned, rejected) == (296, 3154)
 
     def test_not_in_image_mixed_support(self):
@@ -153,3 +168,61 @@ class TestReconstruct:
         )
         with pytest.raises(NotInImage):
             reconstruct(f)
+
+
+# -- fuzzing against the linear-form oracle -------------------------------------
+
+LABELS = st.lists(
+    st.one_of(st.integers(1, 30), st.sampled_from("ABCDEFGH")), min_size=1, max_size=6, unique=True
+)
+
+
+@st.composite
+def factored_fractions(draw):
+    """A random fraction on at most 6 labels: either a shrub fraction with a
+    few factors dropped or added, or factors drawn from scratch.  Factors
+    mix 0/1 sums with primitive integer forms whose coefficients are not
+    all 1; sign and scalar are random too."""
+    labels = draw(LABELS)
+
+    def factor():
+        support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        if draw(st.booleans()):
+            return LinearForm.sum_of(support)
+        coeffs = {v: draw(st.integers(-3, 3).filter(bool)) for v in support}
+        return LinearForm.normalize(coeffs)[0]
+
+    if draw(st.booleans()):
+        P = random_shrub(labels, random.Random(draw(st.integers(0, 2**32))))
+        f = fraction_of_shrub(P)
+        num, den = list(f.num), list(f.den)
+        for k in draw(st.lists(st.sampled_from((0, 1)), max_size=2)):
+            side = (num, den)[k]
+            if side and draw(st.booleans()):
+                side.pop(draw(st.integers(0, len(side) - 1)))
+            else:
+                side.append(factor())
+    else:
+        num = [factor() for _ in range(draw(st.integers(0, 3)))]
+        den = [factor() for _ in range(draw(st.integers(1, 8)))]
+    # mostly +1 and 1, so that most fractions get past the first check
+    sign = draw(st.sampled_from((1,) * 7 + (-1,)))
+    scalar = draw(st.sampled_from((Fraction(1),) * 6 + (Fraction(2), Fraction(1, 3))))
+    return FactoredFraction(sign, scalar, num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_fractions())
+def test_reconstruct_matches_oracle_on_random_fractions(f):
+    for cap in (4, 6):
+        got = outcome(reconstruct, f, cap)
+        assert got == outcome(oracle_reconstruct, f, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="u0123456789AB+-*/() ", max_size=40) | st.text(max_size=40))
+def test_parse_fraction_raises_only_value_or_shrub_errors(text):
+    try:
+        parse_fraction(text)
+    except (ValueError, ShrubError):
+        pass
