@@ -73,8 +73,11 @@ class SignedShrub:
     def from_json_dict(cls, data) -> "SignedShrub":
         if not (isinstance(data, dict) and "sign" in data and "shrub" in data):
             raise ValueError("a signed shrub is a JSON object with keys 'sign' and 'shrub'")
+        sign = data["sign"]
         try:
-            sign = int(data["sign"])
+            if isinstance(sign, float) and not sign.is_integer():  # 1.5, inf, nan
+                raise ValueError
+            sign = int(sign)
         except (TypeError, ValueError):
             raise ValueError(f"sign must be +1 or -1, got {data['sign']!r}") from None
         return cls(sign, Shrub.from_json_dict(data["shrub"]))

@@ -5,6 +5,12 @@ corresponding library call returns, so results are byte-identical to direct
 use.  Domain errors, and input deep enough to exhaust the interpreter's
 recursion limit, exit 1 with the error class name on stderr; usage errors
 exit 2.
+
+Start-up cost is most of a one-shot command's time, so the module level
+imports only ``core`` and ``errors``, and each subcommand imports the
+library modules it runs: ``fraction`` and ``reconstruct`` never load
+``checks``, ``anticyclic``, ``operad`` or ``zinbiel``.  This last paragraph
+is left out of ``--help``.
 """
 
 from __future__ import annotations
@@ -13,14 +19,8 @@ import argparse
 import json
 import sys
 
-from . import checks
-from .anticyclic import SignedShrub, act, orbit, orbit_invariant
 from .core import Shrub, enumerate_shrubs_bruteforce, parse_json
 from .errors import ShrubError
-from .mould import format_fraction, fraction_of_shrub, parse_fraction
-from .operad import GenWord, compose, decompose, enumerate_shrubs_by_generators, evaluate
-from .reconstruction import reconstruct
-from .zinbiel import gamma
 
 
 def _load_shrub(path) -> Shrub:
@@ -28,7 +28,9 @@ def _load_shrub(path) -> Shrub:
         return Shrub.from_json(fh.read())
 
 
-def _load_signed(path) -> SignedShrub:
+def _load_signed(path):
+    from .anticyclic import SignedShrub
+
     with open(path) as fh:
         return SignedShrub.from_json_dict(parse_json(fh.read()))
 
@@ -38,7 +40,7 @@ def _parse_label(text):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shrubs", description=__doc__)
+    parser = argparse.ArgumentParser(prog="shrubs", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a shrub JSON file")
@@ -92,9 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    enumerate_fn = (
-        enumerate_shrubs_bruteforce if args.oracle == "brute" else enumerate_shrubs_by_generators
-    )
+    if args.oracle == "brute":
+        enumerate_fn = enumerate_shrubs_bruteforce
+    else:
+        from .operad import enumerate_shrubs_by_generators as enumerate_fn
     out = enumerate_fn(args.n, cap=args.cap)
     if args.connected:
         out = [P for P in out if P.is_connected()]
@@ -121,25 +124,42 @@ def main(argv=None) -> int:
         elif args.command == "enumerate":
             return _cmd_enumerate(args)
         elif args.command == "compose":
+            from .operad import compose
+
             result = compose(_load_shrub(args.P), _parse_label(args.slot), _load_shrub(args.Q))
             print(result.to_json())
         elif args.command == "fraction":
+            from .mould import format_fraction, fraction_of_shrub
+
             print(format_fraction(fraction_of_shrub(_load_shrub(args.shrub))))
         elif args.command == "zinbiel":
+            from .zinbiel import gamma
+
             print(gamma(_load_shrub(args.shrub)).text())
         elif args.command == "decompose":
+            from .operad import decompose
+
             print(decompose(_load_shrub(args.shrub)).to_json())
         elif args.command == "evaluate":
+            from .operad import GenWord, evaluate
+
             with open(args.word) as fh:
                 print(evaluate(GenWord.from_json(fh.read())).to_json())
         elif args.command == "reconstruct":
+            from .mould import parse_fraction
+            from .reconstruction import reconstruct
+
             with open(args.fraction) as fh:
                 print(reconstruct(parse_fraction(fh.read()), cap=args.cap).to_json())
         elif args.command == "act":
+            from .anticyclic import act
+
             sigma = tuple(int(v) for v in args.perm.replace(",", " ").split())
             result = act(sigma, _load_signed(args.signed_shrub))
             print(json.dumps(result.to_json_dict()))
         elif args.command == "orbit":
+            from .anticyclic import orbit, orbit_invariant
+
             x = _load_signed(args.signed_shrub)
             orb = orbit(x, cap=args.cap)
             inv = orbit_invariant(x)
@@ -152,6 +172,8 @@ def main(argv=None) -> int:
                 )
             )
         elif args.command == "check":
+            from . import checks
+
             rows = checks.run_suite(args.suite, max_n=args.max_n, seed=args.seed)
             failed = 0
             for name, ok, detail in rows:

@@ -35,8 +35,6 @@ from .errors import (
     UnknownLabel,
     ZeroDenominator,
 )
-from .operad import decompose, fresh_slots
-from .zinbiel import ZinbElement
 
 POLY_TERM_CAP = 200_000
 EXTRACTION_CAP = 6
@@ -728,6 +726,8 @@ def kappa(P: Shrub) -> FactoredFraction:
     generator images ``1/(ux*uy)`` and ``1/(uy*(ux+uy))`` using partial
     composition; agrees factor-for-factor with :func:`fraction_of_shrub`.
     """
+    from .operad import decompose, fresh_slots
+
     word = decompose(P)
     slots = fresh_slots(P.labels, 2)
     x, y = tuple(slots)
@@ -902,6 +902,8 @@ def zinb_extract(f: MouldElement, labels=None, cap: int = EXTRACTION_CAP) -> Zin
     combination is always certified exactly (factored inputs step by step,
     general sums by a final symbolic comparison).
     """
+    from .zinbiel import ZinbElement
+
     labels = frozenset(f.labels if labels is None else labels)
     if len(labels) > cap:
         raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")

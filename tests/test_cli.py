@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
-from shrubs import cli
+from shrubs import operad, reconstruction
 from shrubs.cli import main
 
 
@@ -34,13 +35,16 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_process(*args):
-    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+def python(*args):
+    """A fresh interpreter that imports this checkout's ``shrubs``."""
     src = str(Path(shrubs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "shrubs.cli", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_process(*args):
+    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    proc = python("-m", "shrubs.cli", *args)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -206,8 +210,16 @@ class TestMalformedInput:
         err = self.check_clean_failure(command, str(path))
         assert "nested too deeply" in err
 
-    def run_limited(self, capsys, monkeypatch, function, *args):
-        original = getattr(cli, function)
+    @pytest.mark.parametrize("command, sign", [("orbit", "Infinity"), ("act", "1.5")])
+    def test_signed_shrub_with_non_unit_sign(self, tmp_path, command, sign):
+        path = tmp_path / "signed.json"
+        path.write_text(f'{{"sign": {sign}, "shrub": {pair_generator(1, 2).to_json()}}}')
+        args = ("act", "1,0,2") if command == "act" else ("orbit",)
+        err = self.check_clean_failure(*args, str(path))
+        assert err.startswith(f"ValueError: sign must be +1 or -1, got {float(sign)!r}")
+
+    def run_limited(self, capsys, monkeypatch, owner, function, *args):
+        original = getattr(owner, function)
 
         def limited(*call_args, **kwargs):
             saved = sys.getrecursionlimit()
@@ -217,7 +229,7 @@ class TestMalformedInput:
             finally:
                 sys.setrecursionlimit(saved)
 
-        monkeypatch.setattr(cli, function, limited)
+        monkeypatch.setattr(owner, function, limited)
         code, out, err = run(capsys, *args)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("RecursionError:")
@@ -225,7 +237,7 @@ class TestMalformedInput:
     def test_decompose_long_chain(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "chain.json"
         path.write_text(chain(150).to_json())
-        self.run_limited(capsys, monkeypatch, "decompose", "decompose", str(path))
+        self.run_limited(capsys, monkeypatch, operad, "decompose", "decompose", str(path))
 
     def test_evaluate_deep_word(self, capsys, monkeypatch, tmp_path):
         word = 0
@@ -233,9 +245,94 @@ class TestMalformedInput:
             word = {"gen": "D", "slot": f"s{k}", "args": [k, word]}
         path = tmp_path / "word.json"
         path.write_text(json.dumps(word))
-        self.run_limited(capsys, monkeypatch, "evaluate", "evaluate", str(path))
+        self.run_limited(capsys, monkeypatch, operad, "evaluate", "evaluate", str(path))
 
     def test_reconstruct_long_chain(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(fraction_of_shrub(chain(150))))
-        self.run_limited(capsys, monkeypatch, "reconstruct", "reconstruct", str(path), "--cap", "150")
+        self.run_limited(
+            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
+        )
+
+
+# the public names of ``shrubs``, by defining module
+PUBLIC = {
+    "anticyclic": "CTree OrbitInvariant SignedShrub act all_ctrees b0 b0_inverse ctree_act "
+    "forest_act orbit orbit_invariant ram_count_preserved",
+    "core": "RamClass Shrub count_isomorphism_classes enumerate_shrubs_bruteforce label_key "
+    "trivial_shrub validate_shrub",
+    "errors": "CapExceeded DegreeCapExceeded ForbiddenPattern HeightJump LabelClash MalformedWord "
+    "NotAForest NotALeaf NotCorrelated NotInImage NotInZinbielImage ShrubError UnknownLabel "
+    "Unsupported ZeroDenominator",
+    "mould": "FactoredFraction LinearForm MouldElement Polynomial RationalFunction "
+    "deformed_generators embed_order embed_zinb equals expand format_fraction fraction_of_shrub "
+    "kappa mould_compose parse_fraction zinb_extract",
+    "operad": "GenWord compose decompose disjoint_union enumerate_shrubs_by_generators evaluate "
+    "graft graft_generator pair_generator",
+    "reconstruction": "fraction_components reconstruct recover_heights",
+    "series_parallel": "count_series_parallel series_parallel_posets",
+    "zinbiel": "TotalOrder ZinbElement compatible_orders gamma zinb_compose",
+}
+
+# what a one-shot ``fraction`` or ``reconstruct`` must not import
+HEAVY = {
+    "shrubs.checks",
+    "shrubs.anticyclic",
+    "shrubs.operad",
+    "shrubs.zinbiel",
+    "shrubs.series_parallel",
+    "dataclasses",
+}
+
+
+def modules_after(*lines):
+    """The names in ``sys.modules`` after ``lines`` run in a fresh interpreter."""
+    proc = python("-c", "\n".join((*lines, "import sys", "print(*sys.modules, file=sys.stderr)")))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+class TestLazyImports:
+    """``import shrubs`` loads nothing; each CLI command loads what it runs."""
+
+    @pytest.mark.parametrize(
+        "command, runs", [("fraction", "shrubs.mould"), ("reconstruct", "shrubs.reconstruction")]
+    )
+    def test_oneshot_commands_skip_unused_modules(self, tmp_path, command, runs):
+        path = tmp_path / "input"
+        P = graft_generator(2, 1)
+        path.write_text(P.to_json() if command == "fraction" else format_fraction(fraction_of_shrub(P)))
+        loaded = modules_after("from shrubs import cli", f"assert cli.main([{command!r}, {str(path)!r}]) == 0")
+        assert runs in loaded
+        assert not loaded & HEAVY
+
+    def test_bare_import_loads_no_submodule(self):
+        loaded = modules_after("import shrubs")
+        assert "shrubs" in loaded
+        assert not [name for name in loaded if name.startswith("shrubs.")]
+
+    def test_submodules_resolve_after_bare_import(self):
+        lines = ["import shrubs"]
+        lines += [f"assert shrubs.{module}.__name__ == 'shrubs.{module}'" for module in PUBLIC]
+        modules_after(*lines)
+
+    def test_all_lists_the_public_names(self):
+        names = [name for names in PUBLIC.values() for name in names.split()]
+        assert len(names) == len(set(names)) == 69
+        assert sorted(shrubs.__all__) == sorted(names)
+        assert set(names) <= set(dir(shrubs))
+        assert shrubs.__version__ == "0.1.0"
+
+    def test_names_are_the_defining_objects(self):
+        namespace = {}
+        exec("from shrubs import *", namespace)
+        for module, names in PUBLIC.items():
+            owner = importlib.import_module(f"shrubs.{module}")
+            for name in names.split():
+                assert getattr(shrubs, name) is getattr(owner, name)
+                assert namespace[name] is getattr(owner, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nope"):
+            shrubs.nope
+        assert not hasattr(shrubs, "nope")

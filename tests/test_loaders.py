@@ -1,0 +1,90 @@
+"""Hostile input to the JSON loaders: only ``ValueError`` or ``ShrubError``.
+
+Arbitrary text goes into ``GenWord.from_json``; arbitrary JSON values,
+non-finite floats included, and shrub-shaped objects with arbitrary parts go
+into ``Shrub.from_json_dict`` and ``SignedShrub.from_json_dict``.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shrubs import GenWord, Shrub, ShrubError, SignedShrub, trivial_shrub
+
+# what ``json.loads`` can return: floats include inf, -inf and nan
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=6,
+)
+
+# labels that mostly exist, so that parsing gets past the first checks
+labels = st.integers(1, 4) | st.sampled_from((0, "a", "1"))
+
+
+def rarely(draw, strategy):
+    """``strategy`` 7 times in 8, an arbitrary JSON value otherwise."""
+    return draw(json_values if draw(st.integers(0, 7)) == 0 else strategy)
+
+
+@st.composite
+def shrub_dicts(draw):
+    """Shrub-shaped objects: heights for the drawn vertices, edges between
+    them, and any part (or key) now and then arbitrary or missing."""
+    vertices = rarely(draw, st.lists(labels, max_size=5))
+    known = vertices if isinstance(vertices, list) and vertices else ["a"]
+    pick = st.sampled_from(known)
+    height = {str(v): rarely(draw, st.integers(0, 2)) for v in known if isinstance(v, (int, str))}
+    edges = rarely(draw, st.lists(st.lists(pick, min_size=2, max_size=2), max_size=5))
+    data = {"vertices": vertices, "height": rarely(draw, st.just(height)), "edges": edges}
+    if draw(st.integers(0, 7)) == 0:
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+signed_dicts = st.fixed_dictionaries(
+    {"sign": st.sampled_from((1, -1, 1.0, "1")) | st.floats() | json_values, "shrub": shrub_dicts()}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet='{}[]":,CDgenslotarg0123 ', max_size=60) | st.text(max_size=40))
+def test_genword_from_json_raises_only_value_or_shrub_errors(text):
+    try:
+        GenWord.from_json(text)
+    except (ValueError, ShrubError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(shrub_dicts() | json_values)
+def test_shrub_from_json_dict_raises_only_value_or_shrub_errors(data):
+    try:
+        Shrub.from_json_dict(data)
+    except (ValueError, ShrubError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_dicts | json_values)
+def test_signed_shrub_from_json_dict_raises_only_value_or_shrub_errors(data):
+    try:
+        SignedShrub.from_json_dict(data)
+    except (ValueError, ShrubError):
+        pass
+
+
+SHRUB = trivial_shrub(1).to_json_dict()
+
+
+@pytest.mark.parametrize("sign", [math.inf, -math.inf, math.nan, 1.5, -0.5, 0, 2])
+def test_signed_shrub_sign_must_be_unit(sign):
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1"):
+        SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB})
+
+
+@pytest.mark.parametrize("sign, expected", [(1, 1), (-1, -1), (1.0, 1), (-1.0, -1), ("1", 1), (" -1 ", -1)])
+def test_signed_shrub_integral_signs_parse(sign, expected):
+    assert SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB}).sign == expected
