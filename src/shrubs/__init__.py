@@ -21,7 +21,7 @@ _EXPORTS = {
         "anticyclic": """CTree OrbitInvariant SignedShrub act all_ctrees b0 b0_inverse ctree_act
             forest_act orbit orbit_invariant ram_count_preserved""",
         "core": """RamClass Shrub count_isomorphism_classes enumerate_shrubs_bruteforce label_key
-            trivial_shrub validate_shrub""",
+            trivial_shrub""",
         "errors": """CapExceeded DegreeCapExceeded ForbiddenPattern HeightJump LabelClash
             MalformedWord NotAForest NotALeaf NotCorrelated NotInImage NotInZinbielImage
             ShrubError UnknownLabel Unsupported ZeroDenominator""",

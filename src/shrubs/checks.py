@@ -1,14 +1,25 @@
-"""Named property suites shared by the command line and the test suite.
+"""One registry of named properties, shared by ``shrubs check`` and pytest.
 
-Each suite runs a batch of structural identities (exhaustively on small
-sizes, seeded-randomly beyond) and reports one ``(name, ok, detail)`` row
-per check.  Randomness always flows from one seed, so runs reproduce.
+Each property is registered once, in :data:`PROPERTIES`, under a name
+``"suite/check"``.  It is one function of ``(max_n, seed)`` that returns
+``(ok, detail)``: ``max_n`` bounds its exhaustive sweep (or its largest
+random size; fixed-size properties ignore it) and ``seed`` drives every
+random choice, so runs reproduce.  A few also take ``trials``.  Each entry
+also holds ``size``, which maps the command line's ``--max-n`` to the
+``max_n`` the property runs at there; the test suite calls the same
+functions at its own sizes.
+
+Only ``mould/closed-formula`` and ``mould/product-rules`` compute the
+compositional ``kappa``, one call per shrub; the rest use the closed formula
+``fraction_of_shrub``, which ``mould/closed-formula`` equates with ``kappa``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from typing import Callable, NamedTuple
 
 from .anticyclic import (
     SignedShrub,
@@ -23,7 +34,7 @@ from .anticyclic import (
     ram_count_preserved,
     signed_shrubs,
 )
-from .core import Shrub, enumerate_shrubs_bruteforce, label_key, trivial_shrub
+from .core import Shrub, count_isomorphism_classes, enumerate_shrubs_bruteforce, label_key, trivial_shrub
 from .errors import ShrubError
 from .mould import (
     FactoredFraction,
@@ -52,6 +63,26 @@ from .series_parallel import count_series_parallel
 from .zinbiel import ZinbElement, compatible_orders, gamma, zinb_compose
 
 
+class Property(NamedTuple):
+    check: Callable  # (max_n, seed) -> (ok, detail)
+    size: Callable  # --max-n -> the max_n the command line runs ``check`` at
+
+
+PROPERTIES: dict = {}
+
+
+def _up_to(cap: int) -> Callable:
+    return lambda max_n: min(max_n, cap)
+
+
+def _register(name: str, size: Callable = _up_to(5)):
+    def add(check):
+        PROPERTIES[name] = Property(check, size)
+        return check
+
+    return add
+
+
 def random_shrub(labels, rng) -> Shrub:
     """A random shrub on ``labels`` via a random generator word."""
     labels = sorted(labels, key=label_key)
@@ -74,15 +105,29 @@ def _shifted(P: Shrub, offset: int) -> Shrub:
     return P.relabel({v: v + offset for v in P.labels})
 
 
+@functools.lru_cache(maxsize=6)
+def all_shrubs(n: int) -> tuple:
+    """All shrubs on ``1..n``, enumerated once per size.  The enumerator
+    stops at n = 6, so this holds at most six sizes."""
+    return enumerate_shrubs_bruteforce(n)
+
+
 def _all_upto(n_max):
     for n in range(1, n_max + 1):
-        yield from enumerate_shrubs_bruteforce(n)
+        yield from all_shrubs(n)
+
+
+def _random_permutation(labels, rng) -> dict:
+    perm = sorted(labels)
+    rng.shuffle(perm)
+    return dict(zip(sorted(labels), perm))
 
 
 # -- core ---------------------------------------------------------------
 
 
-def check_common_cover(max_n):
+@_register("core/common-cover")
+def common_cover(max_n, seed):
     """Connected nontrivial: some height-1 vertex covers every root."""
     for P in _all_upto(max_n):
         if len(P) < 2 or not P.is_connected():
@@ -93,7 +138,8 @@ def check_common_cover(max_n):
     return True, f"all connected shrubs n<={max_n}"
 
 
-def check_disconnection(max_n):
+@_register("core/disconnection")
+def disconnection(max_n, seed):
     """Dropping the edges from the all-covering vertices to the roots
     separates them from every root."""
     for P in _all_upto(max_n):
@@ -118,7 +164,8 @@ def check_disconnection(max_n):
     return True, f"all connected shrubs n<={max_n}"
 
 
-def check_root_pairs(max_n):
+@_register("core/root-pairs")
+def root_pairs(max_n, seed):
     """Connected: every two roots have a common cover."""
     for P in _all_upto(max_n):
         if not P.is_connected():
@@ -129,30 +176,33 @@ def check_root_pairs(max_n):
     return True, f"all connected shrubs n<={max_n}"
 
 
-def check_leaf_or_pair(max_n):
+@_register("core/leaf-or-pair")
+def leaf_or_pair(max_n, seed):
     for P in _all_upto(max_n):
         if len(P) >= 2 and not P.leaves() and not P.correlated_pairs():
             return False, f"{P!r} has neither a leaf nor a correlated pair"
     return True, f"all shrubs n<={max_n}"
 
 
-def check_surgery_validity(max_n):
+def _revalidated(P: Shrub) -> Shrub:
+    return Shrub(P.labels, P.height_map, P.edges)
+
+
+@_register("core/surgery-validity")
+def surgery_validity(max_n, seed):
     """Truncation, leaf deletion and correlated merges stay valid."""
     for P in _all_upto(max_n):
         for h0 in range(P.max_height() + 2):
-            Shrub(*_unpack(P.truncate_at_or_above(h0)))
+            _revalidated(P.truncate_at_or_above(h0))
         for leaf in sorted(P.leaves(), key=label_key):
-            Shrub(*_unpack(P.delete_leaf(leaf)))
+            _revalidated(P.delete_leaf(leaf))
         for a, b in P.correlated_pairs():
-            Shrub(*_unpack(P.merge_correlated(a, b, "merged")))
+            _revalidated(P.merge_correlated(a, b, "merged"))
     return True, f"all shrubs n<={max_n}"
 
 
-def _unpack(P: Shrub):
-    return P.labels, P.height_map, P.edges
-
-
-def check_upper_ideal_complement(max_n, seed):
+@_register("core/upper-ideal-complement")
+def upper_ideal_complement(max_n, seed):
     rng = random.Random(seed)
     for P in _all_upto(max_n):
         verts = sorted(P.labels, key=label_key)
@@ -168,19 +218,59 @@ def check_upper_ideal_complement(max_n, seed):
     return True, f"all shrubs n<={max_n}, random seeds"
 
 
-def check_enumeration_agreement(max_n):
+@_register("core/iso-counts")
+def iso_counts(max_n, seed):
+    stats = []
     for n in range(1, max_n + 1):
-        brute = enumerate_shrubs_bruteforce(n)
+        stats.append(count_isomorphism_classes(P for P in all_shrubs(n) if P.is_connected()))
+    expected5 = 30
+    if max_n >= 5 and stats[4] != expected5:
+        return False, f"connected iso classes at n=5: {stats[4]} != {expected5}"
+    return True, f"connected iso classes: {stats}"
+
+
+# -- operad -------------------------------------------------------------
+
+
+@_register("operad/enumeration-agreement")
+def enumeration_agreement(max_n, seed):
+    for n in range(1, max_n + 1):
+        brute = all_shrubs(n)
         gen = enumerate_shrubs_by_generators(n)
         if brute != gen:
             return False, f"enumerators disagree at n={n}: {len(brute)} vs {len(gen)}"
     return True, f"both enumerators agree for n<={max_n}"
 
 
-# -- operad -------------------------------------------------------------
+def _operad_axioms_exhaustive():
+    inner = [P for n in (1, 2) for P in all_shrubs(n)]
+    firsts = [_shifted(P, 100) for P in inner]
+    seconds = [_shifted(P, 200) for P in inner]
+    for P in _all_upto(3):
+        for i in P.labels:
+            for Pp in firsts:
+                for Ppp in seconds:
+                    for j in P.labels:
+                        if j != i and compose(compose(P, i, Pp), j, Ppp) != compose(compose(P, j, Ppp), i, Pp):
+                            return False, f"parallel associativity fails at {P!r}"
+                    for ii in Pp.labels:
+                        if compose(compose(P, i, Pp), ii, Ppp) != compose(P, i, compose(Pp, ii, Ppp)):
+                            return False, f"sequential associativity fails at {P!r}"
+    return True, "exhaustive"
 
 
-def check_parallel_associativity(seed, trials=1000):
+def _random_triple_sizes(rng, total, first_min):
+    a = rng.randint(first_min, total - 2)
+    b = rng.randint(1, total - a - 1)
+    c = rng.randint(1, total - a - b)
+    return a, b, c
+
+
+@_register("operad/associativity")
+def associativity(max_n, seed, trials=1000):
+    """Parallel and sequential associativity, exhaustively on small shrubs
+    and on random triples of at most 8 labels; on each random triple also
+    equivariance of the first composition."""
     ok, detail = _operad_axioms_exhaustive()
     if not ok:
         return ok, detail
@@ -200,69 +290,44 @@ def check_parallel_associativity(seed, trials=1000):
         seq_right = compose(P, i, compose(Pp, ii, Ppp))
         if seq_left != seq_right:
             return False, f"sequential associativity fails: {P!r} at {i},{ii}"
+        relab = _random_permutation(P.labels, rng)
+        if compose(P, i, Pp).relabel(relab) != compose(P.relabel(relab), relab[i], Pp):
+            return False, f"equivariance fails: {P!r} at {i} under {relab}"
     return True, f"exhaustive (<=3,<=2,<=2) plus {trials} random triples"
 
 
-def _random_triple_sizes(rng, total, first_min):
-    a = rng.randint(first_min, total - 2)
-    b = rng.randint(1, total - a - 1)
-    c = rng.randint(1, total - a - b)
-    return a, b, c
-
-
-def _operad_axioms_exhaustive():
-    smalls = {k: enumerate_shrubs_bruteforce(k) for k in (1, 2)}
-    outers = [P for n in (2, 3) for P in enumerate_shrubs_bruteforce(n)]
-    for P in outers:
-        for i, j in itertools.permutations(sorted(P.labels), 2):
-            for np_ in (1, 2):
-                for nq in (1, 2):
-                    for Pp in smalls[np_]:
-                        Pp = _shifted(Pp, 100)
-                        for Ppp in smalls[nq]:
-                            Ppp = _shifted(Ppp, 200)
-                            left = compose(compose(P, i, Pp), j, Ppp)
-                            right = compose(compose(P, j, Ppp), i, Pp)
-                            if left != right:
-                                return False, f"parallel associativity fails at {P!r}"
-                            for ii in Pp.labels:
-                                a = compose(compose(P, i, Pp), ii, Ppp)
-                                b = compose(P, i, compose(Pp, ii, Ppp))
-                                if a != b:
-                                    return False, f"sequential associativity fails at {P!r}"
-    return True, "exhaustive"
-
-
-def check_units(max_n):
+@_register("operad/units", _up_to(4))
+def units(max_n, seed):
+    """Both unit laws; substituting a one-vertex shrub renames the slot."""
+    star = trivial_shrub("*")
     for P in _all_upto(max_n):
         for i in P.labels:
-            unit = trivial_shrub(i)
-            if compose(P, i, unit) != P:
+            if compose(P, i, trivial_shrub(i)) != P:
                 return False, f"right unit fails at {P!r}, {i}"
-        star = trivial_shrub("*")
-        got = compose(star, "*", P)
-        if got != P:
+            if compose(P, i, star) != P.relabel({i: "*"}):
+                return False, f"substituting a vertex is not renaming at {P!r}, {i}"
+        if compose(star, "*", P) != P:
             return False, f"left unit fails at {P!r}"
     return True, f"all shrubs n<={max_n}"
 
 
-def check_equivariance(max_n, seed):
+@_register("operad/equivariance", _up_to(3))
+def equivariance(max_n, seed):
     rng = random.Random(seed)
-    for P in _all_upto(min(max_n, 3)):
+    for P in _all_upto(max_n):
         for Q0 in _all_upto(2):
             Q = _shifted(Q0, 100)
             for i in P.labels:
-                perm = sorted(P.labels)
-                rng.shuffle(perm)
-                relab = dict(zip(sorted(P.labels), perm))
-                lhs = compose(P, i, Q).relabel({**relab, **{v: v for v in Q.labels}})
+                relab = _random_permutation(P.labels, rng)
+                lhs = compose(P, i, Q).relabel(relab)
                 rhs = compose(P.relabel(relab), relab[i], Q)
                 if lhs != rhs:
                     return False, f"equivariance fails at {P!r}, {i}"
     return True, "exhaustive small, random relabelings"
 
 
-def check_presentation_relations():
+@_register("operad/relations")
+def relations(max_n, seed):
     nap1 = compose(graft_generator("*", 1), "*", graft_generator(3, 2))
     nap2 = compose(graft_generator("*", 2), "*", graft_generator(3, 1))
     nap3 = compose(graft_generator(3, "*"), "*", pair_generator(1, 2))
@@ -275,7 +340,8 @@ def check_presentation_relations():
     return True, "both degree-3 relations hold"
 
 
-def check_word_roundtrip(max_n):
+@_register("operad/word-roundtrip")
+def word_roundtrip(max_n, seed):
     for P in _all_upto(max_n):
         if evaluate(decompose(P)) != P:
             return False, f"word roundtrip fails at {P!r}"
@@ -285,19 +351,20 @@ def check_word_roundtrip(max_n):
 # -- zinbiel ------------------------------------------------------------
 
 
-def check_gamma_morphism(max_n, seed):
+@_register("zinbiel/morphism")
+def gamma_morphism(max_n, seed, trials=50):
     for np_ in range(1, 4):
-        for P in enumerate_shrubs_bruteforce(np_):
+        for P in all_shrubs(np_):
             gP = gamma(P)
             for nq in range(1, 4):
-                for Q0 in enumerate_shrubs_bruteforce(nq):
+                for Q0 in all_shrubs(nq):
                     Q = _shifted(Q0, 100)
                     gQ = gamma(Q)
                     for i in P.labels:
                         if gamma(compose(P, i, Q)) != zinb_compose(gP, i, gQ):
                             return False, f"morphism fails at {P!r} o_{i} {Q!r}"
     rng = random.Random(seed)
-    for _ in range(50):
+    for _ in range(trials):
         a = rng.randint(1, 4)
         b = rng.randint(1, min(4, 7 - a))
         P = random_shrub(range(1, a + 1), rng)
@@ -305,26 +372,50 @@ def check_gamma_morphism(max_n, seed):
         i = rng.choice(sorted(P.labels))
         if gamma(compose(P, i, Q)) != zinb_compose(gamma(P), i, gamma(Q)):
             return False, f"morphism fails at random {P!r} o_{i} {Q!r}"
-    return True, "exhaustive |P|,|Q|<=3 plus 50 random pairs"
+    return True, f"exhaustive |P|,|Q|<=3 plus {trials} random pairs"
 
 
-def check_gamma_injective(max_n):
+@_register("zinbiel/injective")
+def gamma_injective(max_n, seed):
     for n in range(1, max_n + 1):
-        S = enumerate_shrubs_bruteforce(n)
+        S = all_shrubs(n)
         if len({gamma(P) for P in S}) != len(S):
             return False, f"gamma images collide at n={n}"
     return True, f"pairwise distinct for n<={max_n}"
 
 
-def check_gamma_coefficients(max_n):
+@_register("zinbiel/unit-coefficients", _up_to(4))
+def gamma_coefficients(max_n, seed):
+    """``gamma(P)`` is the sum of the compatible orders of ``P``, each once,
+    and composing the generator images along the word of ``P`` gives it too."""
     for P in _all_upto(max_n):
-        for _, c in gamma(P).terms():
+        g = gamma(P)
+        if set(g.coeffs) != set(compatible_orders(P)):
+            return False, f"gamma({P!r}) is not supported on the compatible orders"
+        for _, c in g.terms():
             if c != 1:
                 return False, f"coefficient {c} in gamma({P!r})"
+        if g != _gamma_by_generators(P):
+            return False, f"the generator route disagrees with gamma at {P!r}"
     return True, f"all coefficients are 1 for n<={max_n}"
 
 
-def check_forest_orders_are_linear_extensions(max_n):
+def _gamma_by_generators(P: Shrub) -> ZinbElement:
+    """``gamma`` evaluated along the generator word of ``P``."""
+    c_img = ZinbElement.from_order(("x", "y")) + ZinbElement.from_order(("y", "x"))
+    d_img = ZinbElement.from_order(("x", "y"))
+
+    def ev(w):
+        if w.gen == "leaf":
+            return ZinbElement.from_order((w.label,))
+        img = c_img if w.gen == "C" else d_img
+        return zinb_compose(zinb_compose(img, "x", ev(w.args[0])), "y", ev(w.args[1]))
+
+    return ev(decompose(P))
+
+
+@_register("zinbiel/forest-linear-extensions", _up_to(4))
+def forest_orders_are_linear_extensions(max_n, seed):
     """On forests, compatible orders = linear extensions of the forest order."""
     for P in _all_upto(max_n):
         if not P.is_forest():
@@ -344,14 +435,16 @@ def check_forest_orders_are_linear_extensions(max_n):
 # -- mould --------------------------------------------------------------
 
 
-def check_kappa_formula(max_n):
+@_register("mould/closed-formula")
+def kappa_formula(max_n, seed):
     for P in _all_upto(max_n):
         if kappa(P) != fraction_of_shrub(P):
             return False, f"kappa differs from the closed formula at {P!r}"
     return True, f"all shrubs n<={max_n}"
 
 
-def check_fraction_squarefree(max_n):
+@_register("mould/squarefree")
+def fraction_squarefree(max_n, seed):
     for P in _all_upto(max_n):
         num, den = shrub_fraction_factors(P)
         if len(set(num)) != len(num) or len(set(den)) != len(den):
@@ -361,7 +454,8 @@ def check_fraction_squarefree(max_n):
     return True, f"reduced and squarefree for n<={max_n}"
 
 
-def check_connected_full_sum(max_n):
+@_register("mould/full-sum-factor")
+def connected_full_sum(max_n, seed):
     for P in _all_upto(max_n):
         if P.is_connected():
             full = LinearForm.sum_of(P.labels)
@@ -370,17 +464,21 @@ def check_connected_full_sum(max_n):
     return True, f"all connected shrubs n<={max_n}"
 
 
-def check_numerator_degree(max_n):
+@_register("mould/numerator-degree")
+def numerator_degree(max_n, seed):
     for P in _all_upto(max_n):
         if len(fraction_of_shrub(P).num) != len(P.ram_classes()):
             return False, f"numerator degree != ram classes at {P!r}"
     return True, f"n<={max_n}"
 
 
-def check_embedding_intertwines():
+@_register("mould/embedding", _up_to(2))
+def embedding_intertwines(max_n, seed):
+    """Orders into moulds respects composition: basis orders ``|I| <= 3``
+    composed with basis orders ``|J| <= max_n``."""
     for ni in (1, 2, 3):
         for pi in itertools.permutations(range(1, ni + 1)):
-            for nj in (1, 2):
+            for nj in range(1, max_n + 1):
                 for sigma in itertools.permutations(range(101, 101 + nj)):
                     zx = ZinbElement.from_order(pi)
                     zy = ZinbElement.from_order(sigma)
@@ -389,32 +487,36 @@ def check_embedding_intertwines():
                         rhs = mould_compose(embed_zinb(zx), i, embed_zinb(zy))
                         if not equals(lhs, rhs):
                             return False, f"embedding fails at {pi} o_{i} {sigma}"
-    return True, "exhaustive over basis orders |I|<=3, |J|<=2"
+    return True, f"exhaustive over basis orders |I|<=3, |J|<={max_n}"
 
 
-def check_kappa_products(max_n):
-    """Product rules: disjoint union multiplies; grafting adds the root-sum
-    ratio."""
+@_register("mould/product-rules", lambda max_n: min(max_n + 1, 6))
+def kappa_products(max_n, seed):
+    """Product rules: on a disjoint union ``kappa`` is the product of the
+    factors' fractions; on a graft, that times the root-sum ratio."""
+    factors = {n: all_shrubs(n) for n in range(1, max_n)}
+    raised = {n: [_shifted(R, 100) for R in shrubs] for n, shrubs in factors.items()}
     for nq in range(1, max_n):
         for nr in range(1, max_n - nq + 1):
-            for Q in enumerate_shrubs_bruteforce(nq):
-                for R0 in enumerate_shrubs_bruteforce(nr):
-                    R = _shifted(R0, 100)
-                    kq, kr = kappa(Q), kappa(R)
-                    if kappa(disjoint_union(Q, R)) != kq * kr:
+            for Q in factors[nq]:
+                fq = fraction_of_shrub(Q)
+                for R in raised[nr]:
+                    product = fq * fraction_of_shrub(R)
+                    if kappa(disjoint_union(Q, R)) != product:
                         return False, f"union rule fails at {Q!r}, {R!r}"
                     ratio = FactoredFraction(
                         num=[LinearForm.sum_of(Q.labels)],
                         den=[LinearForm.sum_of(set(Q.labels) | set(R.labels))],
                     )
-                    if kappa(graft(Q, R)) != kq * kr * ratio:
+                    if kappa(graft(Q, R)) != product * ratio:
                         return False, f"graft rule fails at {Q!r}, {R!r}"
     return True, f"all pairs |Q|+|R|<={max_n}"
 
 
-def check_extraction_inverts_gamma(max_n):
+@_register("mould/extraction", _up_to(4))
+def extraction_inverts_gamma(max_n, seed):
     for P in _all_upto(max_n):
-        if zinb_extract(MouldElement.from_fraction(kappa(P))) != gamma(P):
+        if zinb_extract(MouldElement.from_fraction(fraction_of_shrub(P))) != gamma(P):
             return False, f"extraction disagrees with gamma at {P!r}"
     return True, f"all shrubs n<={max_n}"
 
@@ -422,37 +524,51 @@ def check_extraction_inverts_gamma(max_n):
 # -- reconstruction ------------------------------------------------------
 
 
-def check_reconstruction_roundtrip(max_n):
+@_register("reconstruction/roundtrip")
+def reconstruction_roundtrip(max_n, seed):
+    """``reconstruct`` inverts the fraction map, and the shrub it builds
+    without validation passes validation."""
     for P in _all_upto(max_n):
-        if reconstruct(kappa(P)) != P:
+        Q = reconstruct(fraction_of_shrub(P))
+        if Q != P or _revalidated(Q) != Q:
             return False, f"roundtrip fails at {P!r}"
     return True, f"all shrubs n<={max_n}"
 
 
-def check_kappa_injective(max_n):
+@_register("reconstruction/injective")
+def fraction_injective(max_n, seed):
     for n in range(1, max_n + 1):
-        S = enumerate_shrubs_bruteforce(n)
-        if len({kappa(P) for P in S}) != len(S):
-            return False, f"kappa images collide at n={n}"
+        S = all_shrubs(n)
+        if len({fraction_of_shrub(P) for P in S}) != len(S):
+            return False, f"fractions collide at n={n}"
     return True, f"pairwise distinct fractions for n<={max_n}"
 
 
-def check_reconstruction_bruteforce(max_n):
+@_register("reconstruction/bruteforce-oracle", _up_to(4))
+def reconstruction_bruteforce(max_n, seed):
     """Reconstruction agrees with scanning every shrub on the label set."""
     for n in range(1, max_n + 1):
-        table = {kappa(P): P for P in enumerate_shrubs_bruteforce(n)}
+        table = {}
+        for P in all_shrubs(n):
+            f = fraction_of_shrub(P)
+            if f in table:
+                return False, f"{P!r} and {table[f]!r} share a fraction"
+            table[f] = P
         for f, P in table.items():
             if reconstruct(f) != P:
                 return False, f"brute-force oracle disagrees at {P!r}"
     return True, f"n<={max_n}"
 
 
-def check_random_roundtrip_larger(seed, sizes=(6, 7), trials=12):
+@_register("reconstruction/larger-random", lambda max_n: 7)
+def random_roundtrip_larger(max_n, seed, trials=12):
+    """Random shrubs on 6 to ``max_n`` labels rebuild from their fractions."""
+    sizes = tuple(range(6, max_n + 1))
     rng = random.Random(seed)
     for n in sizes:
         for _ in range(trials):
             P = random_shrub(range(1, n + 1), rng)
-            if reconstruct(kappa(P), cap=n) != P:
+            if reconstruct(fraction_of_shrub(P), cap=n) != P:
                 return False, f"roundtrip fails at random {P!r}"
     return True, f"{trials} random shrubs at sizes {sizes}"
 
@@ -467,9 +583,10 @@ def _transpositions_with_zero(n):
         yield tuple(sigma)
 
 
-def check_action_closure(max_n):
+@_register("anticyclic/closure", _up_to(4))
+def action_closure(max_n, seed):
     for n in range(1, max_n + 1):
-        for x in signed_shrubs(n):
+        for x in signed_shrubs(n, all_shrubs(n)):
             for sigma in _transpositions_with_zero(n):
                 try:
                     act(sigma, x)
@@ -478,7 +595,8 @@ def check_action_closure(max_n):
     return True, f"all signed shrubs n<={max_n}, all 0-transpositions"
 
 
-def check_action_group_laws(max_n, seed, trials=500):
+@_register("anticyclic/group-laws")
+def action_group_laws(max_n, seed, trials=200):
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(1, max_n)
@@ -497,7 +615,8 @@ def check_action_group_laws(max_n, seed, trials=500):
     return True, f"{trials} seeded permutation pairs"
 
 
-def check_action_extends_relabeling(max_n, seed):
+@_register("anticyclic/relabeling", _up_to(4))
+def action_extends_relabeling(max_n, seed):
     rng = random.Random(seed)
     for n in range(1, max_n + 1):
         for _ in range(20):
@@ -513,9 +632,10 @@ def check_action_extends_relabeling(max_n, seed):
     return True, "random zero-fixing permutations"
 
 
-def check_orbit_invariants(max_n):
+@_register("anticyclic/orbit-invariants", _up_to(4))
+def orbit_invariants(max_n, seed):
     for n in range(1, max_n + 1):
-        remaining = set(signed_shrubs(n))
+        remaining = set(signed_shrubs(n, all_shrubs(n)))
         while remaining:
             x = remaining.pop()
             orb = orbit(x, cap=max_n)
@@ -529,9 +649,10 @@ def check_orbit_invariants(max_n):
     return True, f"constant on every orbit, n<={max_n}"
 
 
-def check_forest_action_agreement(max_n):
+@_register("anticyclic/forest-agreement", _up_to(4))
+def forest_action_agreement(max_n, seed):
     for n in range(1, max_n + 1):
-        for P in enumerate_shrubs_bruteforce(n):
+        for P in all_shrubs(n):
             if not P.is_forest():
                 continue
             for s in (1, -1):
@@ -542,10 +663,11 @@ def check_forest_action_agreement(max_n):
     return True, f"all signed forests n<={max_n}, all 0-transpositions"
 
 
-def check_b0_bijection(max_n, seed):
+@_register("anticyclic/tree-model")
+def b0_bijection(max_n, seed):
     rng = random.Random(seed)
     for n in range(1, max_n + 1):
-        forests = [P for P in enumerate_shrubs_bruteforce(n) if P.is_forest()]
+        forests = [P for P in all_shrubs(n) if P.is_forest()]
         seen = set()
         for P in forests:
             for s in (1, -1):
@@ -573,92 +695,28 @@ def check_b0_bijection(max_n, seed):
 # -- series-parallel -----------------------------------------------------
 
 
-def check_series_parallel_counts(max_n):
+@_register("series-parallel/labeled-counts")
+def series_parallel_counts(max_n, seed):
     for n in range(1, max_n + 1):
         sp = count_series_parallel(n)
-        sh = len(enumerate_shrubs_bruteforce(n))
+        sh = len(all_shrubs(n))
         if sp != sh:
             return False, f"counts differ at n={n}: {sp} posets vs {sh} shrubs"
     return True, f"labeled counts agree for n<={max_n}"
 
 
-def check_iso_count_fig(max_n):
-    stats = []
-    for n in range(1, max_n + 1):
-        conn = [P for P in enumerate_shrubs_bruteforce(n) if P.is_connected()]
-        stats.append(len({P.canonical_form()[0] for P in conn}))
-    expected5 = 30
-    if max_n >= 5 and stats[4] != expected5:
-        return False, f"connected iso classes at n=5: {stats[4]} != {expected5}"
-    return True, f"connected iso classes: {stats}"
-
-
-# -- suite registry -------------------------------------------------------
+# -- suites ---------------------------------------------------------------
 
 
 def run_suite(name: str, max_n: int = 5, seed: int = 0):
-    """Run one named suite; returns a list of (check, ok, detail)."""
-    small = min(max_n, 5)
-    suites = {
-        "core": [
-            ("common-cover", lambda: check_common_cover(small)),
-            ("disconnection", lambda: check_disconnection(small)),
-            ("root-pairs", lambda: check_root_pairs(small)),
-            ("leaf-or-pair", lambda: check_leaf_or_pair(small)),
-            ("surgery-validity", lambda: check_surgery_validity(small)),
-            ("upper-ideal-complement", lambda: check_upper_ideal_complement(small, seed)),
-            ("iso-counts", lambda: check_iso_count_fig(small)),
-        ],
-        "operad": [
-            ("enumeration-agreement", lambda: check_enumeration_agreement(small)),
-            ("associativity", lambda: check_parallel_associativity(seed)),
-            ("units", lambda: check_units(min(small, 4))),
-            ("equivariance", lambda: check_equivariance(small, seed)),
-            ("relations", check_presentation_relations),
-            ("word-roundtrip", lambda: check_word_roundtrip(small)),
-        ],
-        "zinbiel": [
-            ("morphism", lambda: check_gamma_morphism(small, seed)),
-            ("injective", lambda: check_gamma_injective(small)),
-            ("unit-coefficients", lambda: check_gamma_coefficients(min(small, 4))),
-            ("forest-linear-extensions", lambda: check_forest_orders_are_linear_extensions(min(small, 4))),
-        ],
-        "mould": [
-            ("closed-formula", lambda: check_kappa_formula(small)),
-            ("squarefree", lambda: check_fraction_squarefree(small)),
-            ("full-sum-factor", lambda: check_connected_full_sum(small)),
-            ("numerator-degree", lambda: check_numerator_degree(small)),
-            ("embedding", check_embedding_intertwines),
-            ("product-rules", lambda: check_kappa_products(min(small + 1, 6))),
-            ("extraction", lambda: check_extraction_inverts_gamma(min(small, 4))),
-        ],
-        "reconstruction": [
-            ("roundtrip", lambda: check_reconstruction_roundtrip(small)),
-            ("injective", lambda: check_kappa_injective(small)),
-            ("bruteforce-oracle", lambda: check_reconstruction_bruteforce(min(small, 4))),
-            ("larger-random", lambda: check_random_roundtrip_larger(seed)),
-        ],
-        "anticyclic": [
-            ("closure", lambda: check_action_closure(min(small, 4))),
-            ("group-laws", lambda: check_action_group_laws(small, seed, trials=200)),
-            ("relabeling", lambda: check_action_extends_relabeling(min(small, 4), seed)),
-            ("orbit-invariants", lambda: check_orbit_invariants(min(small, 4))),
-            ("forest-agreement", lambda: check_forest_action_agreement(min(small, 4))),
-            ("tree-model", lambda: check_b0_bijection(small, seed)),
-        ],
-        "series-parallel": [
-            ("labeled-counts", lambda: check_series_parallel_counts(small)),
-        ],
-    }
-    if name == "all":
-        rows = []
-        for key in suites:
-            rows.extend(run_suite(key, max_n=max_n, seed=seed))
-        return rows
-    if name not in suites:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(suites)} or 'all'")
+    """Run one suite, or ``"all"``; returns a list of (name, ok, detail)."""
+    suites = sorted({key.split("/")[0] for key in PROPERTIES})
+    if name != "all" and name not in suites:
+        raise ValueError(f"unknown suite {name!r}; choose from {suites} or 'all'")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     rows = []
-    for check_name, fn in suites[name]:
-        ok, detail = fn()
-        rows.append((f"{name}/{check_name}", ok, detail))
+    for key, (check, size) in PROPERTIES.items():
+        if name in ("all", key.split("/")[0]):
+            rows.append((key, *check(size(max_n), seed)))
     return rows

@@ -39,6 +39,13 @@ def _parse_label(text):
     return int(text) if text.isdigit() else text
 
 
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shrubs", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("--suite", default="all")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dot", help="DOT drawing of a shrub")

@@ -543,11 +543,6 @@ class Shrub:
         return "\n".join(lines) + "\n"
 
 
-def validate_shrub(vertices, height, edges) -> Shrub:
-    """Validate the three axioms and return the shrub, or raise."""
-    return Shrub(vertices, height, edges)
-
-
 def trivial_shrub(label) -> Shrub:
     return Shrub([label], {label: 0}, [])
 

@@ -718,7 +718,7 @@ def fraction_of_shrub(P: Shrub) -> FactoredFraction:
     return FactoredFraction._trusted(_forms(P.labels, num), _forms(P.labels, den))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def kappa(P: Shrub) -> FactoredFraction:
     """The fraction of ``P`` computed compositionally.
 

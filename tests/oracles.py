@@ -14,16 +14,11 @@ import functools
 import itertools
 
 from shrubs.anticyclic import SignedShrub
-from shrubs.core import Shrub, enumerate_shrubs_bruteforce, label_key
+from shrubs.core import Shrub, label_key
 from shrubs.errors import CapExceeded, NotInImage
 from shrubs.mould import FactoredFraction, LinearForm, kappa
 from shrubs.operad import disjoint_union, graft, trivial_shrub
 from shrubs.reconstruction import reconstruct
-
-
-@functools.lru_cache(maxsize=None)
-def all_shrubs(n):
-    return enumerate_shrubs_bruteforce(n, cap=7)
 
 
 def _edge(P, a, b):

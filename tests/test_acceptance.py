@@ -2,47 +2,26 @@
 
 Everything here is exact arithmetic, so every comparison is equality; run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
+Most criteria run properties of ``shrubs.checks`` at the sizes in
+``tests/properties.py``, which are the numbers their lines state.
 """
 
-import itertools
-import random
 import time
 from contextlib import contextmanager
 
 from shrubs import (
     MouldElement,
     RationalFunction,
-    SignedShrub,
-    ZinbElement,
-    act,
     all_ctrees,
-    compose,
-    count_isomorphism_classes,
-    count_series_parallel,
-    decompose,
     deformed_generators,
-    enumerate_shrubs_bruteforce,
-    enumerate_shrubs_by_generators,
-    evaluate,
-    forest_act,
-    fraction_of_shrub,
-    gamma,
     graft_generator,
     kappa,
-    orbit,
-    orbit_invariant,
     pair_generator,
     parse_fraction,
-    ram_count_preserved,
     reconstruct,
-    trivial_shrub,
-    zinb_compose,
 )
-from shrubs.checks import random_shrub
-from shrubs.mould import shrub_fraction_factors
-from shrubs.zinbiel import compatible_orders
 
-from oracles import all_shrubs
+from properties import holds
 
 
 @contextmanager
@@ -55,135 +34,36 @@ def criterion(number, description):
     print(f"criterion {number:02d} PASS  {description}", flush=True)
 
 
-def shifted(P, k):
-    return P.relabel({v: v + k for v in P.labels})
-
-
-def tau(i, n):
-    sigma = list(range(n + 1))
-    sigma[0], sigma[i] = sigma[i], sigma[0]
-    return tuple(sigma)
-
-
 def test_01_connected_isomorphism_classes_on_five_vertices():
     with criterion(1, "30 connected isomorphism classes on 5 vertices, under a minute"):
         start = time.monotonic()
-        conn = [P for P in enumerate_shrubs_bruteforce(5) if P.is_connected()]
-        count = count_isomorphism_classes(conn)
-        elapsed = time.monotonic() - start
-        assert count == 30
-        assert elapsed < 60.0
+        holds("core/iso-counts")
+        assert time.monotonic() - start < 60.0
 
 
 def test_02_enumeration_cross_check():
     with criterion(2, "generator-closure enumeration equals brute force, n = 1..5"):
-        for n in range(1, 6):
-            assert enumerate_shrubs_by_generators(n) == enumerate_shrubs_bruteforce(n)
+        holds("operad/enumeration-agreement")
 
 
 def test_03_operad_axioms():
     with criterion(3, "associativity, unit and equivariance; exhaustive plus 1000 random triples"):
-        smalls = [x for n in (1, 2) for x in all_shrubs(n)]
-        outers = [x for n in (1, 2, 3) for x in all_shrubs(n)]
-        for P in outers:
-            for i, j in itertools.permutations(P.labels, 2):
-                for Pp0 in smalls:
-                    Pp = shifted(Pp0, 100)
-                    for Ppp0 in smalls:
-                        Ppp = shifted(Ppp0, 200)
-                        assert compose(compose(P, i, Pp), j, Ppp) == compose(
-                            compose(P, j, Ppp), i, Pp
-                        )
-        for P in outers:
-            for i in P.labels:
-                for Pp0 in smalls:
-                    Pp = shifted(Pp0, 100)
-                    for ii in Pp.labels:
-                        for Ppp0 in smalls:
-                            Ppp = shifted(Ppp0, 200)
-                            assert compose(compose(P, i, Pp), ii, Ppp) == compose(
-                                P, i, compose(Pp, ii, Ppp)
-                            )
-        for P in all_shrubs(3):
-            assert compose(trivial_shrub("*"), "*", P) == P
-            for i in P.labels:
-                assert compose(P, i, trivial_shrub(i)) == P
-        rng = random.Random(2024)
-        for _ in range(1000):
-            a = rng.randint(2, 5)
-            b = rng.randint(1, min(2, 8 - a - 1))
-            c = max(1, min(rng.randint(1, 2), 8 - a - b))
-            P = random_shrub(range(1, a + 1), rng)
-            Pp = random_shrub(range(101, 101 + b), rng)
-            Ppp = random_shrub(range(201, 201 + c), rng)
-            i, j = rng.sample(sorted(P.labels), 2)
-            assert compose(compose(P, i, Pp), j, Ppp) == compose(compose(P, j, Ppp), i, Pp)
-            ii = rng.choice(sorted(Pp.labels))
-            assert compose(compose(P, i, Pp), ii, Ppp) == compose(P, i, compose(Pp, ii, Ppp))
-            perm = sorted(P.labels)
-            rng.shuffle(perm)
-            relab = dict(zip(sorted(P.labels), perm))
-            assert compose(P, i, Pp).relabel(relab) == compose(P.relabel(relab), relab[i], Pp)
+        holds("operad/associativity", "operad/units", "operad/equivariance")
 
 
 def test_04_presentation():
     with criterion(4, "generator words invert for every labeled shrub n <= 6; degree-3 relations hold"):
-        for n in range(1, 7):
-            for P in all_shrubs(n):
-                assert evaluate(decompose(P)) == P
-        a = compose(graft_generator("*", 1), "*", graft_generator(3, 2))
-        b = compose(graft_generator("*", 2), "*", graft_generator(3, 1))
-        c = compose(graft_generator(3, "*"), "*", pair_generator(1, 2))
-        assert a == b == c
-        d = compose(pair_generator("*", 1), "*", pair_generator(2, 3))
-        e = compose(pair_generator("*", 2), "*", pair_generator(3, 1))
-        assert d == e
-
-
-def _gamma_by_generators(P):
-    word = decompose(P)
-    c_img = ZinbElement.from_order(("x", "y")) + ZinbElement.from_order(("y", "x"))
-    d_img = ZinbElement.from_order(("x", "y"))
-
-    def ev(w):
-        if w.gen == "leaf":
-            return ZinbElement.from_order((w.label,))
-        img = c_img if w.gen == "C" else d_img
-        return zinb_compose(zinb_compose(img, "x", ev(w.args[0])), "y", ev(w.args[1]))
-
-    return ev(word)
+        holds("operad/word-roundtrip", "operad/relations")
 
 
 def test_05_order_morphism():
     with criterion(5, "order-sum map is a morphism (|P|,|Q| <= 3); equals the compatible-order sum, n <= 5"):
-        for np_ in range(1, 4):
-            for P in all_shrubs(np_):
-                gP = gamma(P)
-                for nq in range(1, 4):
-                    for Q0 in all_shrubs(nq):
-                        Q = shifted(Q0, 100)
-                        gQ = gamma(Q)
-                        for i in P.labels:
-                            assert gamma(compose(P, i, Q)) == zinb_compose(gP, i, gQ)
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                direct = gamma(P)
-                assert set(direct.coeffs) == set(compatible_orders(P))
-                assert all(c == 1 for c in direct.coeffs.values())
-                assert direct == _gamma_by_generators(P)
+        holds("zinbiel/morphism", "zinbiel/unit-coefficients")
 
 
 def test_06_mould_formula():
     with criterion(6, "compositional fraction equals the closed formula n <= 5; reduced and squarefree n <= 6"):
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                assert kappa(P) == fraction_of_shrub(P)
-        for n in range(1, 7):
-            for P in all_shrubs(n):
-                num, den = shrub_fraction_factors(P)
-                assert len(set(num)) == len(num)
-                assert len(set(den)) == len(den)
-                assert not set(num) & set(den)
+        holds("mould/closed-formula", "mould/squarefree")
 
 
 FIG2_TEXT = (
@@ -206,72 +86,28 @@ def test_07_published_fraction_vector():
 
 def test_08_injectivity_at_desk_scale():
     with criterion(8, "fractions pairwise distinct and reconstruction inverts, n <= 5; brute-force oracle n <= 4"):
-        for n in range(1, 6):
-            S = all_shrubs(n)
-            assert len({kappa(P) for P in S}) == len(S)
-            for P in S:
-                assert reconstruct(kappa(P)) == P
-        for n in range(1, 5):
-            for P in all_shrubs(n):
-                f = kappa(P)
-                matches = [Q for Q in all_shrubs(n) if kappa(Q) == f]
-                assert matches == [P]
+        holds("reconstruction/injective", "reconstruction/roundtrip", "reconstruction/bruteforce-oracle")
 
 
 def test_09_anticyclic_closure_and_group_laws():
     with criterion(9, "index-0 transpositions close on signed shrubs n <= 5; group laws on 500 seeded pairs"):
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                x = SignedShrub(1, P)
-                for i in range(1, n + 1):
-                    act(tau(i, n), x)  # must land on a signed shrub
-        rng = random.Random(777)
-        for _ in range(500):
-            n = rng.randint(1, 5)
-            x = SignedShrub(rng.choice((1, -1)), random_shrub(range(1, n + 1), rng))
-            assert act(tuple(range(n + 1)), x) == x
-            sigma = list(range(n + 1))
-            tau_ = list(range(n + 1))
-            rng.shuffle(sigma)
-            rng.shuffle(tau_)
-            combo = tuple(sigma[tau_[k]] for k in range(n + 1))
-            assert act(combo, x) == act(tuple(sigma), act(tuple(tau_), x))
+        holds("anticyclic/closure", "anticyclic/group-laws")
 
 
 def test_10_orbit_invariants():
     with criterion(10, "ram-class count and the folded multiset pair are constant on every orbit, n <= 5"):
-        for n in range(1, 6):
-            remaining = set()
-            for P in all_shrubs(n):
-                remaining.add(SignedShrub(1, P))
-                remaining.add(SignedShrub(-1, P))
-            while remaining:
-                x = remaining.pop()
-                orb = orbit(x, cap=5)
-                assert len({ram_count_preserved(y) for y in orb}) == 1
-                assert len({orbit_invariant(y) for y in orb}) == 1
-                remaining -= set(orb)
+        holds("anticyclic/orbit-invariants")
 
 
 def test_11_forest_action():
     with criterion(11, "tree-model action agrees on all signed forests n <= 5; |C(n+1)| = 2(n+1)^(n-1)"):
-        for n in range(1, 6):
-            assert len(all_ctrees(n)) == 2 * (n + 1) ** (n - 1)
         assert len(all_ctrees(2)) == 6
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                if not P.is_forest():
-                    continue
-                for s in (1, -1):
-                    F = SignedShrub(s, P)
-                    for i in range(1, n + 1):
-                        assert forest_act(tau(i, n), F) == act(tau(i, n), F)
+        holds("anticyclic/tree-model", "anticyclic/forest-agreement")
 
 
 def test_12_series_parallel_cross_check():
     with criterion(12, "labeled shrub counts equal labeled series-parallel poset counts, n = 1..5"):
-        for n in range(1, 6):
-            assert count_series_parallel(n) == len(all_shrubs(n))
+        holds("series-parallel/labeled-counts")
 
 
 def test_13_deformation():

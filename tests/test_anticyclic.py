@@ -10,10 +10,7 @@ from shrubs import (
     Shrub,
     SignedShrub,
     act,
-    all_ctrees,
     b0,
-    b0_inverse,
-    ctree_act,
     forest_act,
     graft_generator,
     orbit,
@@ -22,10 +19,11 @@ from shrubs import (
     ram_count_preserved,
     trivial_shrub,
 )
-from shrubs.checks import random_shrub
+from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
-from oracles import all_shrubs, oracle_act
+from oracles import oracle_act
+from properties import holds
 
 
 def tau(i, n):
@@ -63,35 +61,13 @@ class TestAct:
         assert act(tau(1, 2), x) == x
 
     def test_zero_fixing_is_relabeling(self):
-        rng = random.Random(18)
-        for n in range(1, 5):
-            for _ in range(10):
-                P = random_shrub(range(1, n + 1), rng)
-                inner = list(range(1, n + 1))
-                rng.shuffle(inner)
-                sigma = tuple([0] + inner)
-                got = act(sigma, signed(P))
-                want = signed(P.relabel({k: sigma[k] for k in range(1, n + 1)}))
-                assert got == want
+        holds("anticyclic/relabeling")
 
     def test_closure_exhaustive(self):
-        for n in range(1, 5):
-            for P in all_shrubs(n):
-                for s in (1, -1):
-                    for i in range(1, n + 1):
-                        act(tau(i, n), SignedShrub(s, P))  # must not raise
+        holds("anticyclic/closure")
 
     def test_group_laws_random(self):
-        rng = random.Random(19)
-        for _ in range(150):
-            n = rng.randint(1, 5)
-            x = SignedShrub(rng.choice((1, -1)), random_shrub(range(1, n + 1), rng))
-            sigma = list(range(n + 1))
-            tau_ = list(range(n + 1))
-            rng.shuffle(sigma)
-            rng.shuffle(tau_)
-            combo = tuple(sigma[tau_[k]] for k in range(n + 1))
-            assert act(combo, x) == act(tuple(sigma), act(tuple(tau_), x))
+        holds("anticyclic/group-laws")
 
     def test_sign_multiplies(self):
         x = signed(pair_generator(1, 2), -1)
@@ -152,17 +128,7 @@ class TestOrbits:
             orbit(signed(trivial_shrub(1)), cap=0)
 
     def test_invariants_constant_small(self):
-        for n in range(1, 5):
-            remaining = set()
-            for P in all_shrubs(n):
-                remaining.add(SignedShrub(1, P))
-                remaining.add(SignedShrub(-1, P))
-            while remaining:
-                x = remaining.pop()
-                orb = orbit(x, cap=4)
-                assert len({orbit_invariant(y) for y in orb}) == 1
-                assert len({ram_count_preserved(y) for y in orb}) == 1
-                remaining -= set(orb)
+        holds("anticyclic/orbit-invariants")
 
 
 class TestInvariant:
@@ -195,26 +161,13 @@ class TestForestModel:
             b0(signed(B))
 
     def test_roundtrip_all_forests(self):
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                if not P.is_forest():
-                    continue
-                for s in (1, -1):
-                    F = SignedShrub(s, P)
-                    assert b0_inverse(b0(F)) == F
+        holds("anticyclic/tree-model")
 
     def test_cardinality(self):
-        for n in range(1, 6):
-            assert len(all_ctrees(n)) == 2 * (n + 1) ** (n - 1)
+        holds("anticyclic/tree-model")
 
     def test_b0_is_onto(self):
-        for n in range(1, 5):
-            images = set()
-            for P in all_shrubs(n):
-                if P.is_forest():
-                    images.add(b0(SignedShrub(1, P)))
-                    images.add(b0(SignedShrub(-1, P)))
-            assert images == set(all_ctrees(n))
+        holds("anticyclic/tree-model")
 
     def test_exchange_example(self):
         # swapping 0 with the root of a tree detaches it with a sign flip
@@ -257,24 +210,7 @@ class TestForestModel:
             assert got == act(tau(i, n), F)
 
     def test_agreement_with_fraction_action(self):
-        for n in range(1, 5):
-            for P in all_shrubs(n):
-                if not P.is_forest():
-                    continue
-                for s in (1, -1):
-                    F = SignedShrub(s, P)
-                    for i in range(1, n + 1):
-                        assert forest_act(tau(i, n), F) == act(tau(i, n), F)
+        holds("anticyclic/forest-agreement")
 
     def test_equivariance_for_inner_permutations(self):
-        rng = random.Random(21)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            P = random_shrub(range(1, n + 1), rng)
-            if not P.is_forest():
-                continue
-            F = signed(P, rng.choice((1, -1)))
-            inner = list(range(1, n + 1))
-            rng.shuffle(inner)
-            sigma = tuple([0] + inner)
-            assert b0(forest_act(sigma, F)) == ctree_act(sigma, b0(F))
+        holds("anticyclic/tree-model")

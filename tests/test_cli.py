@@ -18,7 +18,7 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
-from shrubs import operad, reconstruction
+from shrubs import checks, operad, reconstruction
 from shrubs.cli import main
 
 
@@ -135,17 +135,31 @@ class TestCli:
         code, out, _ = run(capsys, "dot", edge_file)
         assert code == 0 and out.startswith("digraph")
 
-    def test_check_suite(self, capsys):
-        code, out, _ = run(capsys, "check", "--suite", "series-parallel", "--max-n", "4")
-        assert code == 0
-        assert out.startswith("PASS series-parallel/")
-
-    @pytest.mark.parametrize("suite", ["mould", "reconstruction", "anticyclic"])
-    def test_check_suite_smoke(self, capsys, suite):
-        code, out, _ = run(capsys, "check", "--suite", suite, "--max-n", "4")
+    def test_check_suite(self, capsys, monkeypatch):
+        # a failing property prints a FAIL row, the others still run, and the exit is 1
+        failing = checks.Property(lambda max_n, seed: (False, f"broken at {max_n}"), lambda max_n: max_n)
+        monkeypatch.setitem(checks.PROPERTIES, "core/root-pairs", failing)
+        code, out, _ = run(capsys, "check", "--suite", "core", "--max-n", "2")
         rows = out.splitlines()
-        assert code == 0 and rows
-        assert all(row.startswith(f"PASS {suite}/") for row in rows)
+        assert code == 1 and len(rows) == 7
+        assert rows[2] == "FAIL core/root-pairs: broken at 2"
+
+    @pytest.mark.parametrize("suite", sorted({name.split("/")[0] for name in checks.PROPERTIES}))
+    def test_check_suite_smoke(self, capsys, suite):
+        code, out, _ = run(capsys, "check", "--suite", suite, "--max-n", "3")
+        registered = [name for name in checks.PROPERTIES if name.startswith(f"{suite}/")]
+        assert code == 0 and registered
+        assert [row.split(":")[0] for row in out.splitlines()] == [f"PASS {name}" for name in registered]
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_check_max_n_below_one_is_a_usage_error(self, capsys, max_n):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--max-n", max_n, "--suite", "core"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert err.count("usage:") == 1 and f"argument --max-n: must be at least 1, got {max_n}" in err
+        with pytest.raises(ValueError, match="at least 1"):
+            checks.run_suite("core", max_n=int(max_n))
 
     def test_check_unknown_suite(self, capsys):
         code, out, err = run(capsys, "check", "--suite", "nope")
@@ -260,7 +274,7 @@ PUBLIC = {
     "anticyclic": "CTree OrbitInvariant SignedShrub act all_ctrees b0 b0_inverse ctree_act "
     "forest_act orbit orbit_invariant ram_count_preserved",
     "core": "RamClass Shrub count_isomorphism_classes enumerate_shrubs_bruteforce label_key "
-    "trivial_shrub validate_shrub",
+    "trivial_shrub",
     "errors": "CapExceeded DegreeCapExceeded ForbiddenPattern HeightJump LabelClash MalformedWord "
     "NotAForest NotALeaf NotCorrelated NotInImage NotInZinbielImage ShrubError UnknownLabel "
     "Unsupported ZeroDenominator",
@@ -318,7 +332,7 @@ class TestLazyImports:
 
     def test_all_lists_the_public_names(self):
         names = [name for names in PUBLIC.values() for name in names.split()]
-        assert len(names) == len(set(names)) == 69
+        assert len(names) == len(set(names)) == 68
         assert sorted(shrubs.__all__) == sorted(names)
         assert set(names) <= set(dir(shrubs))
         assert shrubs.__version__ == "0.1.0"

@@ -13,14 +13,14 @@ from shrubs import (
     Shrub,
     UnknownLabel,
     Unsupported,
-    count_isomorphism_classes,
     enumerate_shrubs_bruteforce,
     trivial_shrub,
-    validate_shrub,
 )
+from shrubs.checks import all_shrubs
 from shrubs.errors import CapExceeded
 
-from oracles import all_shrubs, brute_force_isomorphic, graph_candidates, naive_forbidden_pattern
+from oracles import brute_force_isomorphic, graph_candidates, naive_forbidden_pattern
+from properties import holds
 
 
 def chain(*labels):
@@ -31,7 +31,7 @@ def chain(*labels):
 
 class TestValidation:
     def test_single_vertex(self):
-        P = validate_shrub([1], {1: 0}, [])
+        P = Shrub([1], {1: 0}, [])
         assert len(P) == 1 and P.height(1) == 0
 
     def test_rooted_path(self):
@@ -41,7 +41,7 @@ class TestValidation:
     def test_f4_rejected(self):
         # w over x,y; y over z; x-z missing
         with pytest.raises(ForbiddenPattern) as info:
-            validate_shrub(
+            Shrub(
                 ["w", "x", "y", "z"],
                 {"z": 0, "x": 1, "y": 1, "w": 2},
                 [("w", "x"), ("w", "y"), ("y", "z")],
@@ -51,7 +51,7 @@ class TestValidation:
 
     def test_f5_rejected(self):
         with pytest.raises(ForbiddenPattern) as info:
-            validate_shrub(
+            Shrub(
                 ["x", "y", "p", "q", "r"],
                 {"p": 0, "q": 0, "r": 0, "x": 1, "y": 1},
                 [("x", "p"), ("x", "q"), ("y", "q"), ("y", "r")],
@@ -60,22 +60,22 @@ class TestValidation:
 
     def test_height_jump(self):
         with pytest.raises(HeightJump):
-            validate_shrub([1, 2], {1: 0, 2: 2}, [(1, 2)])
+            Shrub([1, 2], {1: 0, 2: 2}, [(1, 2)])
 
     def test_unsupported(self):
         with pytest.raises(Unsupported):
-            validate_shrub([1, 2], {1: 0, 2: 1}, [])
+            Shrub([1, 2], {1: 0, 2: 1}, [])
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
-            validate_shrub([1], {1: 0}, [(1, 2)])
+            Shrub([1], {1: 0}, [(1, 2)])
 
     def test_pattern_check_matches_naive_scan(self):
         # small exhaustive sweep of all height-axiom graphs, n <= 5
         for n in range(1, 6):
             for hmap, edges in graph_candidates(n):
                 try:
-                    validate_shrub(list(hmap), hmap, edges)
+                    Shrub(list(hmap), hmap, edges)
                     fast_ok = True
                 except ForbiddenPattern:
                     fast_ok = False
@@ -175,21 +175,10 @@ class TestQueries:
         assert len(P.truncate_at_or_above(5)) == 0
 
     def test_surgery_keeps_validity(self):
-        for P in all_shrubs(5):
-            for leaf in P.leaves():
-                Q = P.delete_leaf(leaf)
-                validate_shrub(Q.labels, Q.height_map, Q.edges)
-            for a, b in P.correlated_pairs():
-                Q = P.merge_correlated(a, b, "m")
-                validate_shrub(Q.labels, Q.height_map, Q.edges)
-            for h0 in range(P.max_height() + 1):
-                Q = P.truncate_at_or_above(h0)
-                validate_shrub(Q.labels, Q.height_map, Q.edges)
+        holds("core/surgery-validity")
 
     def test_every_nontrivial_shrub_peels(self):
-        for n in range(2, 6):
-            for P in all_shrubs(n):
-                assert P.leaves() or P.correlated_pairs(), P
+        holds("core/leaf-or-pair")
 
 
 class TestIsomorphism:
@@ -244,8 +233,7 @@ class TestEnumeration:
             enumerate_shrubs_bruteforce(7, cap=6)
 
     def test_connected_iso_classes_at_five(self):
-        conn = [P for P in all_shrubs(5) if P.is_connected()]
-        assert count_isomorphism_classes(conn) == 30
+        holds("core/iso-counts")
 
     def test_deterministic_order(self):
         assert enumerate_shrubs_bruteforce(3) == enumerate_shrubs_bruteforce(3)

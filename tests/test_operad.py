@@ -1,6 +1,3 @@
-import itertools
-import random
-
 import pytest
 
 from shrubs import (
@@ -12,7 +9,6 @@ from shrubs import (
     compose,
     decompose,
     disjoint_union,
-    enumerate_shrubs_bruteforce,
     enumerate_shrubs_by_generators,
     evaluate,
     graft,
@@ -20,9 +16,9 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
-from shrubs.checks import random_shrub
+from shrubs.checks import all_shrubs
 
-from oracles import all_shrubs
+from properties import holds
 
 
 def shifted(P, k):
@@ -31,12 +27,7 @@ def shifted(P, k):
 
 class TestCompose:
     def test_unit_laws(self):
-        for P in all_shrubs(3):
-            assert compose(trivial_shrub("*"), "*", P) == P
-            for i in P.labels:
-                assert compose(P, i, trivial_shrub(i)) == P
-                relabeled = compose(P, i, trivial_shrub(99))
-                assert relabeled == P.relabel({i: 99})
+        holds("operad/units")
 
     def test_star_formation(self):
         # substituting the pair into the top of an edge spreads a star
@@ -90,71 +81,27 @@ class TestProducts:
 
 class TestAxioms:
     def test_parallel_associativity_exhaustive(self):
-        for P in [x for n in (2, 3) for x in all_shrubs(n)]:
-            for i, j in itertools.permutations(P.labels, 2):
-                for Pp in [x for n in (1, 2) for x in all_shrubs(n)]:
-                    Pp = shifted(Pp, 100)
-                    for Ppp in [x for n in (1, 2) for x in all_shrubs(n)]:
-                        Ppp = shifted(Ppp, 200)
-                        assert compose(compose(P, i, Pp), j, Ppp) == compose(
-                            compose(P, j, Ppp), i, Pp
-                        )
+        holds("operad/associativity")
 
     def test_sequential_associativity_exhaustive(self):
-        for P in [x for n in (1, 2, 3) for x in all_shrubs(n)]:
-            for i in P.labels:
-                for Pp in [x for n in (1, 2) for x in all_shrubs(n)]:
-                    Pp = shifted(Pp, 100)
-                    for ii in Pp.labels:
-                        for Ppp in [x for n in (1, 2) for x in all_shrubs(n)]:
-                            Ppp = shifted(Ppp, 200)
-                            assert compose(compose(P, i, Pp), ii, Ppp) == compose(
-                                P, i, compose(Pp, ii, Ppp)
-                            )
+        holds("operad/associativity")
 
     def test_random_triples(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            a = rng.randint(2, 4)
-            b = rng.randint(1, 2)
-            c = rng.randint(1, 8 - a - b) if 8 - a - b >= 1 else 1
-            P = random_shrub(range(1, a + 1), rng)
-            Pp = random_shrub(range(101, 101 + b), rng)
-            Ppp = random_shrub(range(201, 201 + c), rng)
-            i, j = rng.sample(sorted(P.labels), 2)
-            assert compose(compose(P, i, Pp), j, Ppp) == compose(compose(P, j, Ppp), i, Pp)
-            ii = rng.choice(sorted(Pp.labels))
-            assert compose(compose(P, i, Pp), ii, Ppp) == compose(P, i, compose(Pp, ii, Ppp))
+        holds("operad/associativity")
 
     def test_equivariance(self):
-        rng = random.Random(12)
-        for P in all_shrubs(3):
-            Q = shifted(all_shrubs(2)[1], 100)
-            for i in P.labels:
-                perm = sorted(P.labels)
-                rng.shuffle(perm)
-                relab = dict(zip(sorted(P.labels), perm))
-                lhs = compose(P, i, Q).relabel(relab)
-                rhs = compose(P.relabel(relab), relab[i], Q)
-                assert lhs == rhs
+        holds("operad/equivariance")
 
 
 class TestPresentation:
     def test_graft_relation(self):
-        a = compose(graft_generator("*", 1), "*", graft_generator(3, 2))
-        b = compose(graft_generator("*", 2), "*", graft_generator(3, 1))
-        c = compose(graft_generator(3, "*"), "*", pair_generator(1, 2))
-        assert a == b == c
+        holds("operad/relations")
 
     def test_pair_relation(self):
-        a = compose(pair_generator("*", 1), "*", pair_generator(2, 3))
-        b = compose(pair_generator("*", 2), "*", pair_generator(3, 1))
-        assert a == b
+        holds("operad/relations")
 
     def test_word_roundtrip_small(self):
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                assert evaluate(decompose(P)) == P
+        holds("operad/word-roundtrip")
 
     def test_trivial_word_is_a_leaf(self):
         w = decompose(trivial_shrub(7))
@@ -189,8 +136,7 @@ class TestPresentation:
 
 class TestGeneratorEnumeration:
     def test_matches_bruteforce(self):
-        for n in range(1, 6):
-            assert enumerate_shrubs_by_generators(n) == enumerate_shrubs_bruteforce(n)
+        holds("operad/enumeration-agreement")
 
     def test_small_counts(self):
         assert len(enumerate_shrubs_by_generators(1)) == 1

@@ -22,9 +22,10 @@ from shrubs import (
     recover_heights,
     trivial_shrub,
 )
-from shrubs.checks import random_shrub
+from shrubs.checks import all_shrubs, random_shrub
 
-from oracles import all_shrubs, oracle_components, oracle_reconstruct, outcome
+from oracles import oracle_components, oracle_reconstruct, outcome
+from properties import holds
 
 FIG2_TEXT = (
     "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
@@ -65,7 +66,7 @@ class TestHeights:
     def test_exhaustive_small(self):
         for n in range(1, 6):
             for P in all_shrubs(n):
-                assert recover_heights(kappa(P)) == P.height_map
+                assert recover_heights(fraction_of_shrub(P)) == P.height_map
 
 
 class TestReconstruct:
@@ -76,32 +77,16 @@ class TestReconstruct:
         assert reconstruct(parse_fraction("1/((u1)(u1+u2))")) == graft_generator(2, 1)
 
     def test_roundtrip_exhaustive(self):
-        for n in range(1, 6):
-            for P in all_shrubs(n):
-                Q = reconstruct(kappa(P))
-                assert Q == P
-                # built without validation: re-validating must agree
-                assert Q == Shrub(Q.labels, Q.height_map, Q.edges)
+        holds("reconstruction/roundtrip")
 
     def test_injectivity_of_kappa(self):
-        for n in range(1, 6):
-            S = all_shrubs(n)
-            assert len({kappa(P) for P in S}) == len(S)
+        holds("reconstruction/injective")
 
     def test_bruteforce_oracle(self):
-        for n in range(1, 5):
-            table = {kappa(P): P for P in all_shrubs(n)}
-            for f, P in table.items():
-                matches = [Q for Q in all_shrubs(n) if kappa(Q) == f]
-                assert matches == [P]
-                assert reconstruct(f) == P
+        holds("reconstruction/bruteforce-oracle")
 
     def test_larger_random_roundtrips(self):
-        rng = random.Random(17)
-        for n in (6, 7, 8, 9, 10):
-            for _ in range(8):
-                P = random_shrub(range(1, n + 1), rng)
-                assert reconstruct(kappa(P), cap=n) == P
+        holds("reconstruction/larger-random")
 
     def test_fig2_fraction(self):
         f = parse_fraction(FIG2_TEXT)
