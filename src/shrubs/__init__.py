@@ -28,8 +28,7 @@ _EXPORTS = {
         "mould": """FactoredFraction LinearForm MouldElement Polynomial RationalFunction
             deformed_generators embed_order embed_zinb equals expand format_fraction
             fraction_of_shrub kappa mould_compose parse_fraction zinb_extract""",
-        "operad": """GenWord compose decompose disjoint_union enumerate_shrubs_by_generators
-            evaluate graft graft_generator pair_generator""",
+        "operad": "GenWord compose decompose disjoint_union evaluate graft graft_generator pair_generator",
         "reconstruction": "fraction_components reconstruct recover_heights",
         "series_parallel": "count_series_parallel series_parallel_posets",
         "zinbiel": "TotalOrder ZinbElement compatible_orders gamma zinb_compose",

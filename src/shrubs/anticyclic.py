@@ -273,35 +273,32 @@ def b0_inverse(T: CTree) -> SignedShrub:
     return SignedShrub(T.sign, Shrub(range(1, n + 1), heights, edges))
 
 
-def _reroot_to_zero(sign, edges, root, n):
-    """Canonical 0-rooted representative; each re-rooting step flips the sign."""
-    adjacency = {v: set() for v in range(n + 1)}
+def _tree_from_zero(edges, m):
+    """Parents and depths in the tree on ``0..m-1`` with ``edges``, rooted
+    at 0 by one breadth-first search; ``parents[v-1]`` is the parent of
+    ``v`` and ``depth[v]`` its distance to 0."""
+    adjacency = [[] for _ in range(m)]
     for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    parent_of = {root: None}
-    order = [root]
-    for v in order:
-        for w in adjacency[v]:
-            if w not in parent_of:
-                parent_of[w] = v
-                order.append(w)
-    distance = 0
-    v = 0
-    while parent_of[v] is not None:
-        distance += 1
-        v = parent_of[v]
-    # re-root at 0: parents point along paths toward 0
-    parents = [0] * n
-    new_parent = {0: None}
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    parents = [0] * (m - 1)
+    depth = [0] + [None] * (m - 1)
     queue = [0]
     for v in queue:
         for w in adjacency[v]:
-            if w not in new_parent:
-                new_parent[w] = v
+            if depth[w] is None:
+                depth[w] = depth[v] + 1
                 parents[w - 1] = v
                 queue.append(w)
-    return CTree(sign * (-1) ** distance, tuple(parents))
+    return tuple(parents), depth
+
+
+def _reroot_to_zero(sign, edges, root, n):
+    """Canonical 0-rooted representative; each re-rooting step flips the
+    sign, so moving the root from ``root`` to 0 flips it once per edge
+    between them."""
+    parents, depth = _tree_from_zero(edges, n + 1)
+    return CTree(sign * (-1) ** depth[root], parents)
 
 
 def ctree_act(sigma, T: CTree) -> CTree:
@@ -355,29 +352,4 @@ def _decode_pruefer(code, m):
         if degree[v] == 1:
             heapq.heappush(leaves, v)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    adjacency = {v: set() for v in range(m)}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    parents = [0] * (m - 1)
-    seen = {0}
-    queue = [0]
-    for v in queue:
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                parents[w - 1] = v
-                queue.append(w)
-    return tuple(parents)
-
-
-def signed_shrubs(n: int, shrubs=None) -> tuple:
-    """All signed shrubs on ``1..n`` (helper for orbit sweeps)."""
-    from .core import enumerate_shrubs_bruteforce
-
-    base = enumerate_shrubs_bruteforce(n) if shrubs is None else shrubs
-    out = []
-    for P in base:
-        out.append(SignedShrub(1, P))
-        out.append(SignedShrub(-1, P))
-    return tuple(out)
+    return _tree_from_zero(edges, m)[0]

@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--connected", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--oracle", choices=("brute", "generators"), default="brute")
-    p.add_argument("--cap", type=int, default=6)
     p.add_argument("--list", action="store_true", help="also print one JSON line per shrub")
 
     p = sub.add_parser("compose", help="substitute Q into vertex i of P")
@@ -101,24 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.oracle == "brute":
-        enumerate_fn = enumerate_shrubs_bruteforce
-    else:
-        from .operad import enumerate_shrubs_by_generators as enumerate_fn
-    out = enumerate_fn(args.n, cap=args.cap)
+    out = enumerate_shrubs_bruteforce(args.n)
     if args.connected:
         out = [P for P in out if P.is_connected()]
     if args.up_to_iso:
-        canon = sorted({P.canonical_form()[0] for P in out}, key=Shrub.sort_key)
-        if args.list:
-            for P in canon:
-                print(P.to_json())
-        print(len(canon))
-    else:
-        if args.list:
-            for P in out:
-                print(P.to_json())
-        print(len(out))
+        out = sorted({P.canonical_form()[0] for P in out}, key=Shrub.sort_key)
+    if args.list:
+        for P in out:
+            print(P.to_json())
+    print(len(out))
     return 0
 
 

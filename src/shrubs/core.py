@@ -42,6 +42,8 @@ from .errors import (
 
 Label = int | str
 
+ENUMERATION_CAP = 6  # 51,303 shrubs on 6 labels; 1,152,019 on 7
+
 
 def label_key(label):
     """Sort key giving a total order across int and str labels."""
@@ -534,13 +536,18 @@ class Shrub:
         """DOT drawing with one rank per height, height increasing upward."""
         lines = ["digraph shrub {", "  rankdir=BT;", "  node [shape=circle];", "  edge [dir=none];"]
         for h in range(self.max_height() + 1):
-            names = " ".join(f'"{v}";' for v in sorted(self.level(h), key=label_key))
+            names = " ".join(f"{_dot_id(v)};" for v in sorted(self.level(h), key=label_key))
             lines.append(f"  {{ rank=same; {names} }}")
         for j, m in enumerate(self._covers):
             for i in _bits(m):
-                lines.append(f'  "{self.labels[i]}" -> "{self.labels[j]}";')
+                lines.append(f"  {_dot_id(self.labels[i])} -> {_dot_id(self.labels[j])};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_id(label) -> str:
+    """``label`` as a double-quoted DOT identifier, with quotes escaped."""
+    return json.dumps(str(label), ensure_ascii=False)
 
 
 def trivial_shrub(label) -> Shrub:
@@ -571,18 +578,19 @@ def _ordered_level_partitions(items):
     yield from rec(items)
 
 
-def enumerate_shrubs_bruteforce(n: int, cap: int = 6) -> tuple:
+def enumerate_shrubs_bruteforce(n: int) -> tuple:
     """All shrubs on labels ``1..n`` by exhausting height maps and edge sets.
 
     Height maps are exactly the ordered level partitions (axiom 2 forces
     contiguous levels); the edge sets compatible with axioms 1 and 2 are the
     per-vertex choices of a nonempty cover set one level down; the pattern
     axiom is then checked on each candidate.  Deterministic output order.
+    At most :data:`ENUMERATION_CAP` labels: the result is held whole.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"n={n} exceeds cap {ENUMERATION_CAP}")
     labels = tuple(range(1, n + 1))
     out = []
     for levels in _ordered_level_partitions(labels):

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .core import Shrub, label_key, parse_json, trivial_shrub
-from .errors import CapExceeded, LabelClash, MalformedWord, UnknownLabel
+from .errors import LabelClash, MalformedWord, UnknownLabel
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
 
@@ -230,44 +230,4 @@ def decompose(P: Shrub) -> GenWord:
         return _replace_leaf(rec(rest), slot, inner)
 
     return rec(P)
-
-
-# -- enumeration through the generators ------------------------------------
-
-
-def enumerate_shrubs_by_generators(n: int, cap: int = 6) -> tuple:
-    """All shrubs on ``1..n`` grown by substituting generators.
-
-    Every shrub of size >= 2 is a smaller shrub with a generator substituted
-    into one vertex, so closing the size-(n-1) sets under the three
-    substitutions (``C`` and both orientations of ``D``) and deduplicating
-    by exact labeled equality reaches everything.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds cap {cap}")
-    memo = {}
-
-    def shrubs_on(labels: frozenset) -> tuple:
-        if len(labels) == 1:
-            (v,) = labels
-            return (trivial_shrub(v),)
-        key = labels
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        slot = f"{SLOT_PREFIX}s{len(labels)}"
-        out = set()
-        for a, b in itertools.combinations(sorted(labels, key=label_key), 2):
-            smaller = (labels - {a, b}) | {slot}
-            for S in shrubs_on(frozenset(smaller)):
-                out.add(compose(S, slot, pair_generator(a, b)))
-                out.add(compose(S, slot, graft_generator(a, b)))
-                out.add(compose(S, slot, graft_generator(b, a)))
-        result = tuple(sorted(out, key=Shrub.sort_key))
-        memo[key] = result
-        return result
-
-    return shrubs_on(frozenset(range(1, n + 1)))
 

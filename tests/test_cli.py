@@ -9,6 +9,7 @@ import pytest
 
 import shrubs
 from shrubs import (
+    HeightJump,
     SignedShrub,
     Shrub,
     fraction_of_shrub,
@@ -18,7 +19,7 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
-from shrubs import checks, operad, reconstruction
+from shrubs import checks, core, operad, reconstruction
 from shrubs.cli import main
 
 
@@ -61,18 +62,23 @@ class TestCli:
         assert "HeightJump" in err
 
     def test_usage_error_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["enumerate"])  # missing --n
-        assert info.value.code == 2
+        # a missing --n, and the removed --oracle and --cap switches
+        for extra in ([], ["--n", "4", "--oracle", "generators"], ["--n", "4", "--cap", "7"]):
+            with pytest.raises(SystemExit) as info:
+                main(["enumerate", *extra])
+            assert info.value.code == 2
 
     def test_enumerate_fig_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "5", "--connected", "--up-to-iso")
         assert code == 0 and out.strip() == "30"
 
-    def test_enumerate_oracles_agree(self, capsys):
-        _, brute, _ = run(capsys, "enumerate", "--n", "4")
-        _, gen, _ = run(capsys, "enumerate", "--n", "4", "--oracle", "generators")
-        assert brute == gen == "195\n"
+    def test_enumerate_count(self, capsys):
+        assert run(capsys, "enumerate", "--n", "4") == (0, "195\n", "")
+
+    def test_enumerate_past_the_ceiling(self, capsys, monkeypatch):
+        # the ceiling is checked before any candidate is built
+        monkeypatch.setattr(core, "_ordered_level_partitions", None)
+        assert run(capsys, "enumerate", "--n", "7") == (1, "", "CapExceeded: n=7 exceeds cap 6\n")
 
     def test_fraction_matches_library(self, capsys, edge_file):
         code, out, _ = run(capsys, "fraction", edge_file)
@@ -136,13 +142,23 @@ class TestCli:
         assert code == 0 and out.startswith("digraph")
 
     def test_check_suite(self, capsys, monkeypatch):
-        # a failing property prints a FAIL row, the others still run, and the exit is 1
-        failing = checks.Property(lambda max_n, seed: (False, f"broken at {max_n}"), lambda max_n: max_n)
-        monkeypatch.setitem(checks.PROPERTIES, "core/root-pairs", failing)
-        code, out, _ = run(capsys, "check", "--suite", "core", "--max-n", "2")
-        rows = out.splitlines()
-        assert code == 1 and len(rows) == 7
-        assert rows[2] == "FAIL core/root-pairs: broken at 2"
+        # a property that fails or raises prints a FAIL row in registry order, the others
+        # still run, and the exit is 1
+        def raises(max_n, seed):
+            raise HeightJump((1, 2), (0, 2))
+
+        expected = [f"PASS {name}" for name in checks.PROPERTIES if name.startswith("core/")]
+        expected[2] = "FAIL core/root-pairs"
+        for check, detail in [
+            (lambda max_n, seed: (False, f"broken at {max_n}"), "broken at 2"),
+            (raises, "HeightJump: edge 1-2 joins non-adjacent levels (heights 0 and 2)"),
+        ]:
+            failing = checks.Property(check, lambda max_n: max_n)
+            monkeypatch.setitem(checks.PROPERTIES, "core/root-pairs", failing)
+            code, out, _ = run(capsys, "check", "--suite", "core", "--max-n", "2")
+            rows = out.splitlines()
+            assert code == 1 and [row.split(":")[0] for row in rows] == expected
+            assert rows[2] == f"FAIL core/root-pairs: {detail}"
 
     @pytest.mark.parametrize("suite", sorted({name.split("/")[0] for name in checks.PROPERTIES}))
     def test_check_suite_smoke(self, capsys, suite):
@@ -281,8 +297,7 @@ PUBLIC = {
     "mould": "FactoredFraction LinearForm MouldElement Polynomial RationalFunction "
     "deformed_generators embed_order embed_zinb equals expand format_fraction fraction_of_shrub "
     "kappa mould_compose parse_fraction zinb_extract",
-    "operad": "GenWord compose decompose disjoint_union enumerate_shrubs_by_generators evaluate "
-    "graft graft_generator pair_generator",
+    "operad": "GenWord compose decompose disjoint_union evaluate graft graft_generator pair_generator",
     "reconstruction": "fraction_components reconstruct recover_heights",
     "series_parallel": "count_series_parallel series_parallel_posets",
     "zinbiel": "TotalOrder ZinbElement compatible_orders gamma zinb_compose",
@@ -332,7 +347,7 @@ class TestLazyImports:
 
     def test_all_lists_the_public_names(self):
         names = [name for names in PUBLIC.values() for name in names.split()]
-        assert len(names) == len(set(names)) == 68
+        assert len(names) == len(set(names)) == 67
         assert sorted(shrubs.__all__) == sorted(names)
         assert set(names) <= set(dir(shrubs))
         assert shrubs.__version__ == "0.1.0"

@@ -230,7 +230,7 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            enumerate_shrubs_bruteforce(7, cap=6)
+            enumerate_shrubs_bruteforce(7)
 
     def test_connected_iso_classes_at_five(self):
         holds("core/iso-counts")
@@ -262,6 +262,9 @@ class TestSerialization:
         assert "rank=same" in dot
         assert '"1" -> "2";' in dot  # drawn low to high, dir=none
         assert "dir=none" in dot
+        quoted = Shrub(['a"b', "c"], {'a"b': 0, "c": 1}, [('a"b', "c")]).to_dot()
+        assert '{ rank=same; "a\\"b"; }' in quoted
+        assert '"a\\"b" -> "c";' in quoted
 
 
 @settings(max_examples=60, deadline=None)

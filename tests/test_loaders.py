@@ -2,16 +2,32 @@
 
 Arbitrary text goes into ``GenWord.from_json``; arbitrary JSON values,
 non-finite floats included, and shrub-shaped objects with arbitrary parts go
-into ``Shrub.from_json_dict`` and ``SignedShrub.from_json_dict``.
+into ``Shrub.from_json_dict`` and ``SignedShrub.from_json_dict``.  Random
+valid shrubs go through the JSON, generator-word and fraction-text round
+trips.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrubs import GenWord, Shrub, ShrubError, SignedShrub, trivial_shrub
+from shrubs import (
+    GenWord,
+    Shrub,
+    ShrubError,
+    SignedShrub,
+    decompose,
+    evaluate,
+    format_fraction,
+    fraction_of_shrub,
+    parse_fraction,
+    reconstruct,
+    trivial_shrub,
+)
+from shrubs.checks import random_shrub
 
 # what ``json.loads`` can return: floats include inf, -inf and nan
 json_values = st.recursive(
@@ -88,3 +104,15 @@ def test_signed_shrub_sign_must_be_unit(sign):
 @pytest.mark.parametrize("sign, expected", [(1, 1), (-1, -1), (1.0, 1), (-1.0, -1), ("1", 1), (" -1 ", -1)])
 def test_signed_shrub_integral_signs_parse(sign, expected):
     assert SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB}).sign == expected
+
+
+# integer labels only: the fraction text spells the label "10" and 10 alike
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32))
+def test_valid_shrubs_round_trip(n, seed):
+    P = random_shrub(range(1, n + 1), random.Random(seed))
+    f = fraction_of_shrub(P)
+    assert Shrub.from_json(P.to_json()) == P
+    assert evaluate(GenWord.from_json(decompose(P).to_json())) == P
+    assert parse_fraction(format_fraction(f)) == f
+    assert reconstruct(f, cap=n) == P

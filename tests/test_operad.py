@@ -9,7 +9,6 @@ from shrubs import (
     compose,
     decompose,
     disjoint_union,
-    enumerate_shrubs_by_generators,
     evaluate,
     graft,
     graft_generator,
@@ -137,7 +136,3 @@ class TestPresentation:
 class TestGeneratorEnumeration:
     def test_matches_bruteforce(self):
         holds("operad/enumeration-agreement")
-
-    def test_small_counts(self):
-        assert len(enumerate_shrubs_by_generators(1)) == 1
-        assert len(enumerate_shrubs_by_generators(2)) == 3
