@@ -14,7 +14,9 @@ maps to the sum over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when
 ``sigma(S - {k0})``.  So the action never leaves 0/1 sums: :func:`act` and
 :func:`orbit` work on ``(sign, num masks, den masks)`` keys and rebuild a
 shrub from the masks of each result, through the cache behind
-:func:`reconstruct`.  No factored fraction is built.
+:func:`reconstruct`.  No factored fraction is built.  :func:`orbit` closes
+the masks of ``x`` under two generators of the whole group, the
+transposition ``(0 1)`` and the cycle ``k -> k+1 mod n+1``.
 
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
@@ -84,31 +86,34 @@ class SignedShrub:
 
 
 def _check_permutation(sigma, n):
-    sigma = tuple(int(v) for v in sigma)
-    if len(sigma) != n + 1 or sorted(sigma) != list(range(n + 1)):
+    try:
+        sigma = tuple(int(v) for v in sigma)
+        ok = len(sigma) == n + 1 and sorted(sigma) == list(range(n + 1))
+    except (TypeError, ValueError):  # an entry that is not an integer
+        ok = False
+    if not ok:
         raise ValueError(f"need a permutation of 0..{n} in one-line notation, got {sigma!r}")
     return sigma
 
 
-def _subset_action(sigma, n):
+class _SubsetAction(dict):
     """``sigma`` acting on the 0/1 factor over a label set, as
     ``mask -> (image mask, sign)``; bit ``k - 1`` stands for label ``k``, as
-    in :func:`shrub_masks` over ``1..n``.  Images are memoized per call."""
-    k0 = sigma.index(0)
-    drop = 1 << (k0 - 1) if k0 else 0
-    full = (1 << n) - 1
-    images = {}
+    in :func:`shrub_masks` over ``1..n``.  Images are computed on first use
+    and kept, so a repeated mask costs one dict lookup."""
 
-    def image(mask):
-        hit = images.get(mask)
-        if hit is None:
-            out = 0
-            for i in _bits(mask & ~drop):
-                out |= 1 << (sigma[i + 1] - 1)
-            hit = images[mask] = (full ^ out, -1) if mask & drop else (out, 1)
+    __slots__ = ("sigma", "full", "drop")
+
+    def __init__(self, sigma, n):
+        k0 = sigma.index(0)
+        self.sigma, self.full, self.drop = sigma, (1 << n) - 1, 1 << (k0 - 1) if k0 else 0
+
+    def __missing__(self, mask):
+        out = 0
+        for i in _bits(mask & ~self.drop):
+            out |= 1 << (self.sigma[i + 1] - 1)
+        hit = self[mask] = (self.full ^ out, -1) if mask & self.drop else (out, 1)
         return hit
-
-    return image
 
 
 def _step(image, key):
@@ -122,7 +127,7 @@ def _step(image, key):
     for masks in (num, den):
         images = []
         for mask in masks:
-            m, s = image(mask)
+            m, s = image[mask]
             sign *= s
             images.append(m)
         out.append(tuple(sorted(images)))
@@ -148,38 +153,33 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     closure bug, surfaced as ``NotInImage`` by the certified rebuild.
     """
     sigma = _check_permutation(sigma, x.n)
-    return _signed_shrub(x.shrub.labels, _step(_subset_action(sigma, x.n), _key(x)))
+    return _signed_shrub(x.shrub.labels, _step(_SubsetAction(sigma, x.n), _key(x)))
 
 
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     """Closure of ``x`` under the full index-0 action, sorted.
 
-    A breadth-first search over factor masks under the adjacent
-    transpositions, starting from the masks of ``x``.  Each member other
-    than ``x`` is rebuilt once, when first reached.
+    A breadth-first search over factor masks under the transposition
+    ``(0 1)`` and the cycle ``k -> k+1 mod n+1``, which generate the group,
+    starting from the masks of ``x``.  Each member other than ``x`` is
+    rebuilt once, when first reached.  Members share the labels ``1..n``,
+    so they sort by heights, covers and sign, as by their sort keys.
     """
     n = x.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the orbit cap {cap}")
-    generators = []
-    for i in range(n):
-        sigma = list(range(n + 1))
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-        generators.append(_subset_action(sigma, n))
-    labels = x.shrub.labels
     start = _key(x)
-    members = {start: x}
-    frontier = [start]
-    while frontier:
-        new = []
-        for key in frontier:
-            for image in generators:
-                z = _step(image, key)
-                if z not in members:
-                    members[z] = _signed_shrub(labels, z)
-                    new.append(z)
-        frontier = new
-    return tuple(sorted(members.values(), key=SignedShrub.sort_key))
+    swap, cycle = (1, 0, *range(2, n + 1)), (*range(1, n + 1), 0)
+    generators = [_SubsetAction(g, n) for g in ((swap,) if n == 1 else (swap, cycle))]
+    labels = x.shrub.labels
+    seen, queue = {start: x}, [start]
+    for key in queue:
+        for image in generators:
+            z = _step(image, key)
+            if z not in seen:
+                seen[z] = _signed_shrub(labels, z)
+                queue.append(z)
+    return tuple(sorted(seen.values(), key=lambda y: (y.shrub._heights, y.shrub._covers, y.sign)))
 
 
 def orbit_invariant(x: SignedShrub) -> OrbitInvariant:

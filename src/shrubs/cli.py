@@ -150,7 +150,7 @@ def main(argv=None) -> int:
         elif args.command == "act":
             from .anticyclic import act
 
-            sigma = tuple(int(v) for v in args.perm.replace(",", " ").split())
+            sigma = tuple(args.perm.replace(",", " ").split())
             result = act(sigma, _load_signed(args.signed_shrub))
             print(json.dumps(result.to_json_dict()))
         elif args.command == "orbit":

@@ -181,6 +181,31 @@ class Polynomial:
 # -- linear forms -----------------------------------------------------------
 
 
+_LABEL_TEXT = "[A-Za-z0-9_□]+"  # a label in fraction text; all digits reads as an int
+
+
+def _check_text_label(v):
+    """Raise ``ValueError`` unless fraction text reads label ``v`` back as
+    itself: a non-negative int, or a str of label characters, not all digits."""
+    if isinstance(v, int):
+        if v < 0:
+            raise ValueError(f"label {v} cannot be written in fraction text: an int label is >= 0")
+    elif v.isdigit() or not re.fullmatch(_LABEL_TEXT, v):
+        raise ValueError(
+            f"label {v!r} cannot be written in fraction text:"
+            " a str label must use only [A-Za-z0-9_□] and not be all digits"
+        )
+
+
+def _form_text(form) -> str:
+    """``form.text()`` for reprs and error messages, or the terms when a
+    label has no fraction text, so that they still name the form."""
+    try:
+        return form.text()
+    except ValueError:
+        return repr(form.terms)
+
+
 class LinearForm:
     """Primitive integer linear form with positive leading coefficient."""
 
@@ -256,11 +281,15 @@ class LinearForm:
         return self._hash
 
     def __repr__(self):
-        return f"LinearForm({self.text()})"
+        return f"LinearForm({_form_text(self)})"
 
     def text(self) -> str:
+        """The form in the grammar of :func:`parse_fraction`; ``ValueError``
+        for a label that the text would not read back as itself."""
         bits = []
         for v, c in self.terms:
+            if type(v) is not int or v < 0:
+                _check_text_label(v)
             mag = abs(c)
             body = f"u{v}" if mag == 1 else f"{mag}*u{v}"
             bits.append(("-" if c < 0 else "+") + body)
@@ -378,7 +407,7 @@ class FactoredFraction:
             for f in source:
                 form, s, content = f.substitute(mapping)
                 if form is None:
-                    raise ZeroDenominator(f"substitution annihilates the factor {f.text()}")
+                    raise ZeroDenominator(f"substitution annihilates the factor {_form_text(f)}")
                 sign *= s
                 scalar = scalar * content if target is num else scalar / content
                 target.append(form)
@@ -403,19 +432,23 @@ class FactoredFraction:
         for f in self.den:
             d = f.evaluate(point)
             if d == 0:
-                raise ZeroDenominator(f"denominator factor {f.text()} vanishes at the point")
+                raise ZeroDenominator(f"denominator factor {_form_text(f)} vanishes at the point")
             val /= d
         return val
 
     def __repr__(self):
-        return f"FactoredFraction({format_fraction(self)})"
+        try:
+            return f"FactoredFraction({format_fraction(self)})"
+        except ValueError:  # a label that fraction text cannot carry
+            return f"FactoredFraction({self.sign}, {self.scalar}, {self.num}, {self.den})"
 
 
 # -- canonical text format --------------------------------------------------
 
 
 def format_fraction(ff: FactoredFraction) -> str:
-    """Canonical text: sign, optional scalar, then ``(f1)(f2)/((g1)(g2))``."""
+    """Canonical text: sign, optional scalar, then ``(f1)(f2)/((g1)(g2))``.
+    ``ValueError`` for a label the text cannot carry (see ``LinearForm.text``)."""
     head = "-" if ff.sign < 0 else ""
     if ff.scalar != 1:
         head += f"{ff.scalar}*"
@@ -428,7 +461,7 @@ def format_fraction(ff: FactoredFraction) -> str:
     return f"{head}{num}/{den}"
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?u([A-Za-z0-9_□]+)$")
+_TERM_RE = re.compile(rf"^(?:(\d+)\*)?u({_LABEL_TEXT})$")
 _SCALAR_RE = re.compile(r"^(\d+(?:/\d+)?)\*")
 
 

@@ -21,7 +21,7 @@ import functools
 
 from .core import Shrub, _bits, label_key
 from .errors import CapExceeded, NotInImage
-from .mould import FactoredFraction, shrub_masks
+from .mould import FactoredFraction, _form_text, shrub_masks
 
 DEFAULT_CAP = 6
 
@@ -130,7 +130,7 @@ def _first_text(labels, masks) -> str:
 
     m = min(masks, key=key)
     if isinstance(m, _Weighted):
-        return m.form.text()
+        return _form_text(m.form)
     return "+".join(f"u{labels[i]}" for i in _bits(m))
 
 

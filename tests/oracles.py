@@ -13,7 +13,7 @@ validated sub-shrubs instead of label masks.
 import functools
 import itertools
 
-from shrubs.anticyclic import SignedShrub
+from shrubs.anticyclic import SignedShrub, act
 from shrubs.core import Shrub, label_key
 from shrubs.errors import CapExceeded, NotInImage
 from shrubs.mould import FactoredFraction, LinearForm, kappa
@@ -150,6 +150,24 @@ def oracle_act(sigma, x: SignedShrub) -> SignedShrub:
     if f.scalar != 1:
         raise NotInImage(f"permuted fraction has scalar {f.scalar}")
     return SignedShrub(x.sign * f.sign, reconstruct(f.magnitude()))
+
+
+def oracle_orbit(x: SignedShrub) -> set:
+    """The orbit of ``x`` as a set: breadth-first search under all ``n``
+    adjacent transpositions of ``{0..n}``, through the public :func:`act`.
+    It shares ``act`` with :func:`shrubs.anticyclic.orbit` (``oracle_act``
+    checks that), not the generators, the search or the order."""
+    n = x.n
+    steps = []
+    for i in range(n):
+        sigma = list(range(n + 1))
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+        steps.append(tuple(sigma))
+    seen, frontier = {x}, [x]
+    while frontier:
+        frontier = [z for z in {act(s, y) for y in frontier for s in steps} if z not in seen]
+        seen.update(frontier)
+    return seen
 
 
 # -- the closed formula and its inverse on linear forms -----------------------

@@ -22,7 +22,7 @@ from shrubs import (
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
-from oracles import oracle_act
+from oracles import oracle_act, oracle_orbit
 from properties import holds
 
 
@@ -120,8 +120,21 @@ class TestOrbits:
         }
 
     def test_trivial_orbit(self):
-        orb = orbit(signed(trivial_shrub(1)))
-        assert {y.shrub for y in orb} == {trivial_shrub(1)}
+        point = trivial_shrub(1)
+        both = (SignedShrub(-1, point), SignedShrub(1, point))
+        assert orbit(SignedShrub(1, point)) == orbit(SignedShrub(-1, point)) == both
+
+    def test_matches_adjacent_transposition_search_n5(self):
+        remaining = {SignedShrub(sign, P) for P in all_shrubs(5) for sign in (1, -1)}
+        while remaining:
+            x = remaining.pop()
+            members = oracle_orbit(x)
+            assert orbit(x) == tuple(sorted(members, key=SignedShrub.sort_key))
+            remaining -= members
+
+    def test_empty_shrub(self):
+        with pytest.raises(ValueError, match="the empty shrub has no fraction"):
+            orbit(SignedShrub(1, Shrub([], {}, [])))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -248,6 +248,18 @@ class TestMalformedInput:
         err = self.check_clean_failure(*args, str(path))
         assert err.startswith(f"ValueError: sign must be +1 or -1, got {float(sign)!r}")
 
+    def test_act_with_non_integer_permutation(self, tmp_path):
+        path = tmp_path / "signed.json"
+        path.write_text(f'{{"sign": 1, "shrub": {pair_generator(1, 2).to_json()}}}')
+        err = self.check_clean_failure("act", "a,b,c", str(path))
+        assert err == "ValueError: need a permutation of 0..2 in one-line notation, got ('a', 'b', 'c')\n"
+
+    def test_fraction_of_a_label_the_text_cannot_carry(self, tmp_path):
+        path = tmp_path / "shrub.json"
+        path.write_text(Shrub(["10"], {"10": 0}, []).to_json())
+        err = self.check_clean_failure("fraction", str(path))
+        assert err.startswith("ValueError: label '10' cannot be written in fraction text")
+
     def run_limited(self, capsys, monkeypatch, owner, function, *args):
         original = getattr(owner, function)
 

@@ -106,11 +106,16 @@ def test_signed_shrub_integral_signs_parse(sign, expected):
     assert SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB}).sign == expected
 
 
-# integer labels only: the fraction text spells the label "10" and 10 alike
+# labels the fraction text carries: an int >= 0, or a str of [A-Za-z0-9_□]
+# that is not all digits
+STR_LABELS = ("a", "Z", "_", "□", "x1", "1a", "0_", "a_b", "□tmp3")
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9), st.integers(0, 2**32))
-def test_valid_shrubs_round_trip(n, seed):
-    P = random_shrub(range(1, n + 1), random.Random(seed))
+@given(st.integers(1, 9), st.integers(0, 2**32), st.sets(st.integers(0, 8)))
+def test_valid_shrubs_round_trip(n, seed, as_str):
+    labels = [STR_LABELS[i] if i in as_str else i for i in range(n)]
+    P = random_shrub(labels, random.Random(seed))
     f = fraction_of_shrub(P)
     assert Shrub.from_json(P.to_json()) == P
     assert evaluate(GenWord.from_json(decompose(P).to_json())) == P

@@ -149,6 +149,15 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_fraction("hello")
 
+    # each would read back as another label ("10" as the int 10, "a b" as
+    # "ab") or not at all ("a-b", -3), so writing it is refused
+    @pytest.mark.parametrize("label", ["10", "a b", "a-b", -3])
+    def test_labels_the_text_cannot_carry(self, label):
+        f = fraction_of_shrub(graft_generator(label, "x"))
+        with pytest.raises(ValueError, match=f"^label {label!r} cannot be written in fraction text"):
+            format_fraction(f)
+        assert "LinearForm(" in repr(f)  # repr still works
+
 
 class TestEmbedding:
     def test_embed_order(self):
