@@ -58,6 +58,15 @@ class SignedShrub:
         if set(self.shrub.labels) != set(range(1, n + 1)):
             raise ValueError("a signed shrub lives on labels 1..n")
 
+    @classmethod
+    def _trusted(cls, sign, shrub) -> "SignedShrub":
+        """A sign of +-1 and a shrub on ``1..n``, unchecked (trusted, like
+        ``Shrub._from_parts``)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "shrub", shrub)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.shrub)
@@ -87,10 +96,15 @@ class SignedShrub:
 
 def _check_permutation(sigma, n):
     try:
-        sigma = tuple(int(v) for v in sigma)
-        ok = len(sigma) == n + 1 and sorted(sigma) == list(range(n + 1))
-    except (TypeError, ValueError):  # an entry that is not an integer
+        sigma = tuple(sigma)
+    except TypeError:  # not iterable
         ok = False
+    else:  # entries are ints, not floats or bools that int() would read
+        ok = (
+            len(sigma) == n + 1
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in sigma)
+            and sorted(sigma) == list(range(n + 1))
+        )
     if not ok:
         raise ValueError(f"need a permutation of 0..{n} in one-line notation, got {sigma!r}")
     return sigma
@@ -139,9 +153,10 @@ def _key(x: SignedShrub) -> tuple:
 
 
 def _signed_shrub(labels, key) -> SignedShrub:
-    """The signed shrub of a key, rebuilt from its masks and certified."""
+    """The signed shrub of a key, rebuilt from its masks and certified.
+    It has the labels of the shrub they came from, so it is not checked again."""
     sign, num, den = key
-    return SignedShrub(sign, _reconstruct_checked((labels, num, den), DEFAULT_CAP))
+    return SignedShrub._trusted(sign, _reconstruct_checked((labels, num, den), DEFAULT_CAP))
 
 
 def act(sigma, x: SignedShrub) -> SignedShrub:

@@ -150,7 +150,11 @@ def main(argv=None) -> int:
         elif args.command == "act":
             from .anticyclic import act
 
-            sigma = tuple(args.perm.replace(",", " ").split())
+            tokens = tuple(args.perm.replace(",", " ").split())
+            try:
+                sigma = tuple(map(int, tokens))
+            except ValueError:  # act rejects the tokens and names them
+                sigma = tokens
             result = act(sigma, _load_signed(args.signed_shrub))
             print(json.dumps(result.to_json_dict()))
         elif args.command == "orbit":

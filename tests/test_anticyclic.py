@@ -11,6 +11,7 @@ from shrubs import (
     SignedShrub,
     act,
     b0,
+    ctree_act,
     forest_act,
     graft_generator,
     orbit,
@@ -77,6 +78,16 @@ class TestAct:
     def test_bad_permutation(self):
         with pytest.raises(ValueError):
             act((0, 1), signed(pair_generator(1, 2)))
+
+    # a float or bool entry is refused, not truncated by int(): (1.9, 0, 2)
+    # would act as (1, 0, 2)
+    @pytest.mark.parametrize(
+        "sigma", [(1.9, 0, 2), (1.0, 0, 2), (True, False, 2), ("1", "0", "2"), (0, 1, 1), 5]
+    )
+    @pytest.mark.parametrize("apply, x", [(act, signed(pair_generator(1, 2))), (ctree_act, CTree(1, (0, 0)))])
+    def test_entries_must_be_ints(self, apply, x, sigma):
+        with pytest.raises(ValueError, match=r"^need a permutation of 0\.\.2 in one-line notation, got "):
+            apply(sigma, x)
 
 
 class TestAgainstSubstitution:

@@ -114,6 +114,15 @@ class TestCli:
         assert code == 0
         assert Shrub.from_json(out) == graft_generator(2, 1)
 
+    def test_reconstruct_any_spelling(self, capsys, tmp_path):
+        # a spacing, sign and wrapping that format_fraction never writes
+        canonical, spelled = tmp_path / "canonical.txt", tmp_path / "spelled.txt"
+        canonical.write_text("1/((u1)(u1+u2))\n")
+        spelled.write_text("+ 1/( (u1)(u1 + u2) )\n")
+        out = run(capsys, "reconstruct", str(canonical))
+        assert out == (0, graft_generator(2, 1).to_json() + "\n", "")
+        assert run(capsys, "reconstruct", str(spelled)) == out
+
     def test_reconstruct_error_names_the_failure(self, capsys, tmp_path):
         ffile = tmp_path / "frac.txt"
         ffile.write_text("-1/(u1)")
@@ -220,6 +229,12 @@ class TestMalformedInput:
         ffile.write_text("2/0*(u1)")
         err = self.check_clean_failure("reconstruct", str(ffile))
         assert err.startswith("ValueError:")
+
+    def test_fraction_with_unbalanced_parentheses(self, tmp_path):
+        ffile = tmp_path / "frac.txt"
+        ffile.write_text("1/((u1)(u1+u2)")
+        err = self.check_clean_failure("reconstruct", str(ffile))
+        assert err == "ValueError: cannot parse fraction '1/((u1)(u1+u2)': unbalanced parentheses\n"
 
     def test_shrub_without_height(self, tmp_path):
         sfile = tmp_path / "shrub.json"
@@ -346,6 +361,7 @@ class TestLazyImports:
         loaded = modules_after("from shrubs import cli", f"assert cli.main([{command!r}, {str(path)!r}]) == 0")
         assert runs in loaded
         assert not loaded & HEAVY
+        assert ("shrubs.fraction_parser" in loaded) == (command == "reconstruct")
 
     def test_bare_import_loads_no_submodule(self):
         loaded = modules_after("import shrubs")

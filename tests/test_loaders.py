@@ -4,7 +4,8 @@ Arbitrary text goes into ``GenWord.from_json``; arbitrary JSON values,
 non-finite floats included, and shrub-shaped objects with arbitrary parts go
 into ``Shrub.from_json_dict`` and ``SignedShrub.from_json_dict``.  Random
 valid shrubs go through the JSON, generator-word and fraction-text round
-trips.
+trips.  Texts of the fraction grammar give the same fraction or error
+through ``parse_fraction`` as through its general parser alone.
 """
 
 import math
@@ -27,7 +28,8 @@ from shrubs import (
     reconstruct,
     trivial_shrub,
 )
-from shrubs.checks import random_shrub
+from shrubs.checks import all_shrubs, random_shrub
+from shrubs.fraction_parser import _parse_canonical, _parse_general
 
 # what ``json.loads`` can return: floats include inf, -inf and nan
 json_values = st.recursive(
@@ -119,5 +121,60 @@ def test_valid_shrubs_round_trip(n, seed, as_str):
     f = fraction_of_shrub(P)
     assert Shrub.from_json(P.to_json()) == P
     assert evaluate(GenWord.from_json(decompose(P).to_json())) == P
+    assert _parse_canonical(format_fraction(f)) == f
     assert parse_fraction(format_fraction(f)) == f
     assert reconstruct(f, cap=n) == P
+
+
+def test_shrub_texts_take_the_canonical_path():
+    for n in range(1, 6):
+        for P in all_shrubs(n):
+            f = fraction_of_shrub(P)
+            assert _parse_canonical(format_fraction(f)) == f
+
+
+# the str labels, and "1", "01" (the label 1 again), "10" and "u"
+TEXT_LABELS = STR_LABELS + ("1", "01", "10", "u")
+
+
+@st.composite
+def fraction_texts(draw):
+    """Texts of the fraction grammar.  Factors come from a small pool, so
+    they repeat and cancel; half the draws are plain (no sign, scalar,
+    coefficient, minus or space, and the canonical denominator wrapping),
+    the other half may have any of these."""
+    plain = draw(st.booleans())
+
+    def pick(*choices):
+        return choices[0] if plain else draw(st.sampled_from(choices))
+
+    def form():
+        unique = draw(st.booleans())
+        labels = draw(st.lists(st.sampled_from(TEXT_LABELS), min_size=1, max_size=3, unique=unique))
+        terms = [pick("", "", "", "2*", "0*") + "u" + v for v in labels]
+        return "(" + "".join(t if k == 0 else pick("+", "+", "+", "-") + t for k, t in enumerate(terms)) + ")"
+
+    pool = draw(st.lists(st.builds(form), min_size=1, max_size=4))
+    num = draw(st.lists(st.sampled_from(pool), max_size=3))
+    den = draw(st.lists(st.sampled_from(pool), max_size=4))
+    text = pick("", "", "", "-", "+", "3*", "2/3*", "-1/2*", "1/0*") + ("".join(num) or "1")
+    if den:
+        wrap = len(den) > 1 if plain else draw(st.booleans())
+        text += "/" + ("({})" if wrap else "{}").format("".join(den))
+    for k in sorted(draw(st.sets(st.integers(0, len(text)), max_size=0 if plain else 3)), reverse=True):
+        text = text[:k] + " " + text[k:]
+    return text
+
+
+def outcome(parse, text):
+    try:
+        f = parse(text)
+    except (ValueError, ShrubError) as exc:
+        return type(exc), str(exc)
+    return f, repr(f), hash(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_texts() | st.text(alphabet="u1a()+-*/ 02", max_size=30))
+def test_parse_fraction_agrees_with_the_general_parser(text):
+    assert outcome(parse_fraction, text) == outcome(_parse_general, text)

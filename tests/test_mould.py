@@ -30,6 +30,7 @@ from shrubs import (
 )
 from shrubs.checks import all_shrubs
 from shrubs.errors import CapExceeded, DegreeCapExceeded, LabelClash, UnknownLabel, ZeroDenominator
+from shrubs.fraction_parser import _parse_canonical, _parse_general
 from shrubs.mould import shrub_fraction_factors
 
 from oracles import oracle_fraction, oracle_fraction_factors
@@ -142,6 +143,33 @@ class TestTextFormat:
     def test_parser_string_labels(self):
         f = parse_fraction("1/((uA)(uA+uB))")
         assert f.den == (form(("A", 1)), form(("A", 1), ("B", 1)))
+
+    # text the canonical path reads, or leaves to the general parser: a
+    # wrapped single factor or numerator, cancelling factors (u01 is the
+    # label 1) and a coefficient; the result is the general parser's
+    @pytest.mark.parametrize(
+        "text, canonical, written",
+        [
+            ("1/((u1))", False, "1/(u1)"),
+            ("((u1)(u2))/(u3)", False, "(u1)(u2)/(u3)"),
+            ("1/((uA)(uA+uB))", True, "1/((uA)(uA+uB))"),
+            ("(u1)/((u1)(u2))", False, "1/(u2)"),
+            ("(u1+u1)/(u2)", False, "2*(u1)/(u2)"),
+            ("(u01)/((u1)(u2))", False, "1/(u2)"),
+            ("1", True, "1"),
+        ],
+    )
+    def test_canonical_path(self, text, canonical, written):
+        f, g = parse_fraction(text), _parse_general(text)
+        assert (_parse_canonical(text) is not None) is canonical
+        assert (f, repr(f), hash(f)) == (g, repr(g), hash(g))
+        assert format_fraction(f) == written
+
+    def test_label_past_the_int_digit_limit(self):
+        # int() refuses it; the canonical path leaves the error to the general parser
+        text = "1/(u" + "1" * 5000 + ")"
+        with pytest.raises(ValueError, match=r"^cannot parse fraction '1/\(u1+\)': Exceeds the limit"):
+            parse_fraction(text)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
