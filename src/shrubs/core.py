@@ -89,41 +89,52 @@ class RamClass(NamedTuple):
     targets: frozenset
 
 
-def _find_pattern(heights, covers, order):
+def _find_pattern(covers):
     """Scan cover masks for an induced F4 or F5; return (name, index tuple).
 
-    Uses the O(V^3) reformulations: F4-freeness means any two vertices
-    covered by a common vertex have identical cover sets; F5-freeness means
-    any two vertices with intersecting cover sets have nested cover sets
-    (cover sets sit one level down, so only same-height vertices can ever
-    intersect and ``heights`` is not consulted).  ``order`` fixes which
-    witness is reported first.
+    Uses the reformulations: F4-freeness means any two vertices covered by
+    a common vertex have identical cover sets; F5-freeness means any two
+    vertices with intersecting cover sets have nested cover sets (cover
+    sets sit one level down, so only same-height vertices can ever
+    intersect and heights need not be consulted).  For F5 each vertex is
+    paired only with the later vertices covering one of its targets, so a
+    sparse shrub costs about one pass over its edges.  The witness reported
+    is the first in index order.
     """
-    for w in order:
+    n = len(covers)
+    for w in range(n):
         cw = covers[w]
-        if not cw:
-            continue
-        targets = [t for t in order if cw >> t & 1]
-        for x, y in itertools.combinations(targets, 2):
-            if covers[x] != covers[y]:
-                diff = covers[y] & ~covers[x]
-                if not diff:
-                    x, y = y, x
+        if cw & (cw - 1):
+            for x, y in itertools.combinations(list(_bits(cw)), 2):
+                if covers[x] != covers[y]:
                     diff = covers[y] & ~covers[x]
-                z = next(_bits(diff))
-                return "F4", (w, x, y, z)
-    for x in order:
-        cx = covers[x]
-        if not cx:
-            continue
-        for y in order:
-            if y <= x:
-                continue
+                    if not diff:
+                        x, y = y, x
+                        diff = covers[y] & ~covers[x]
+                    z = next(_bits(diff))
+                    return "F4", (w, x, y, z)
+    covered = [0] * n
+    for j, m in enumerate(covers):
+        while m:
+            low = m & -m
+            covered[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    for x, cx in enumerate(covers):
+        near = 0
+        m = cx
+        while m:
+            low = m & -m
+            near |= covered[low.bit_length() - 1]
+            m ^= low
+        near >>= x + 1  # bit k stands for the vertex x + 1 + k
+        while near:
+            low = near & -near
+            near ^= low
+            y = x + low.bit_length()
             cy = covers[y]
-            common = cx & cy
-            if common and cx != cy and cx & ~cy and cy & ~cx:
+            if cx & ~cy and cy & ~cx:
                 p = next(_bits(cx & ~cy))
-                q = next(_bits(common))
+                q = next(_bits(cx & cy))
                 r = next(_bits(cy & ~cx))
                 return "F5", (x, y, p, q, r)
     return None
@@ -168,7 +179,7 @@ class Shrub:
             # ib covers ia
             covers[ib] |= 1 << ia
             covered[ia] |= 1 << ib
-        hit = _find_pattern(heights, covers, range(len(labels)))
+        hit = _find_pattern(covers)
         if hit is not None:
             name, witnesses = hit
             raise ForbiddenPattern(name, tuple(labels[i] for i in witnesses))
@@ -617,7 +628,7 @@ def enumerate_shrubs_bruteforce(n: int) -> tuple:
             covers = [0] * n
             for (i, _), m in zip(choosers, choice):
                 covers[i] = m
-            if _find_pattern(height_tuple, covers, range(n)) is None:
+            if _find_pattern(covers) is None:
                 out.append(Shrub._from_parts(label_order, height_tuple, tuple(covers)))
     out.sort(key=Shrub.sort_key)
     return tuple(out)

@@ -114,16 +114,6 @@ class Polynomial:
         c = Fraction(c)
         return Polynomial({m: cc * c for m, cc in self.terms.items()})
 
-    def pow(self, k: int) -> "Polynomial":
-        out = Polynomial.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def degree_in(self, label) -> int:
         deg = 0
         for m in self.terms:

@@ -13,11 +13,13 @@ generator words.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import json
 from dataclasses import dataclass
 
-from .core import Shrub, label_key, parse_json, trivial_shrub
+from .core import Shrub, _bits, _is_label, label_key, parse_json
 from .errors import LabelClash, MalformedWord, UnknownLabel
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
@@ -153,26 +155,66 @@ class GenWord:
 
 
 def evaluate(word: GenWord) -> Shrub:
-    """Evaluate a generator word to the shrub it builds."""
+    """Evaluate a generator word to the shrub it builds.
+
+    One walk with an explicit stack collects each leaf's height (the number
+    of ``D`` nodes whose right argument holds it) and the edges every ``D``
+    node adds between the roots of its two arguments; the result is then
+    built once through the validating :class:`Shrub` constructor.  Anything
+    that is not a word over ``C`` and ``D`` with distinct int or str leaf
+    labels raises :class:`MalformedWord`.
+    """
     if not isinstance(word, GenWord):
         raise MalformedWord(f"not a generator word: {word!r}")
-    labels = word.leaf_labels()
-    if len(set(labels)) != len(labels):
+    labels = []
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if w.gen == "leaf":
+            labels.append(w.label)
+            continue
+        try:
+            args = list(w.args)
+        except TypeError:
+            raise MalformedWord(f"generator node arguments are not a sequence: {w.args!r}") from None
+        for a in reversed(args):
+            if not isinstance(a, GenWord):
+                raise MalformedWord(f"not a generator word: {a!r}")
+            stack.append(a)
+    try:
+        distinct = len(set(labels)) == len(labels)
+    except TypeError:
+        raise MalformedWord("leaf labels must be int or str") from None
+    if not distinct:
         raise MalformedWord("leaf labels repeat")
 
-    def ev(w):
+    height = {}
+    edges = []
+    roots = []  # the height-0 labels of each evaluated argument, innermost last
+    stack = [(word, 0, False)]
+    while stack:
+        w, h, done = stack.pop()
         if w.gen == "leaf":
-            return trivial_shrub(w.label)
-        if len(w.args) != 2:
+            if not _is_label(w.label):
+                raise MalformedWord(f"leaf labels must be int or str, got {w.label!r}")
+            height[w.label] = h
+            roots.append([w.label])
+        elif done:
+            right = roots.pop()
+            if w.gen == "C":
+                roots[-1].extend(right)
+            elif w.gen == "D":
+                edges.extend((a, b) for a in roots[-1] for b in right)
+            else:
+                raise MalformedWord(f"unknown generator {w.gen!r}")
+        elif len(w.args) != 2:
             raise MalformedWord("a generator node needs exactly two args")
-        left, right = (ev(a) for a in w.args)
-        if w.gen == "C":
-            return disjoint_union(left, right)
-        if w.gen == "D":
-            return graft(left, right)
-        raise MalformedWord(f"unknown generator {w.gen!r}")
-
-    return ev(word)
+        else:
+            left, right = w.args
+            stack.append((w, h, True))
+            stack.append((right, h + 1 if w.gen == "D" else h, False))
+            stack.append((left, h, False))
+    return Shrub(labels, height, edges)
 
 
 def fresh_slots(avoid, count=None):
@@ -189,16 +231,6 @@ def fresh_slots(avoid, count=None):
         yield name
 
 
-def _replace_leaf(word: GenWord, slot, replacement: GenWord) -> GenWord:
-    if word.gen == "leaf":
-        return replacement if word.label == slot else word
-    return GenWord(
-        gen=word.gen,
-        slot=word.slot,
-        args=tuple(_replace_leaf(a, slot, replacement) for a in word.args),
-    )
-
-
 def decompose(P: Shrub) -> GenWord:
     """Write ``P`` as a generator word; ``evaluate`` inverts it.
 
@@ -207,27 +239,89 @@ def decompose(P: Shrub) -> GenWord:
     vertex under it to a fresh slot (a ``D`` node).  Every nontrivial shrub
     has a leaf or a correlated pair, so this always terminates; the
     tie-break makes the output deterministic.
+
+    The peel runs on the cover masks of ``P`` and builds no intermediate
+    shrub: a slot takes over the index of the vertex it replaces.  The
+    correlation classes, grouped on ``(covers, covered)``, change only
+    where a step removes a vertex, so they are kept up to date along with
+    two heaps, one of the two smallest members of each class and one of
+    the leaves.  The word is assembled at the end, each slot's node after
+    the nodes of its arguments, without recursion.
     """
-    if len(P) == 0:
+    n = len(P)
+    if n == 0:
         raise ValueError("cannot decompose an empty shrub")
+    labels = list(P.labels)
+    keys = [label_key(v) for v in labels]  # None once the vertex is peeled off
+    covers = list(P._covers)
+    covered = list(P._covered)
+    # (covers, covered) -> [(key, index)], sorted: the correlation classes;
+    # the labels of P are sorted by label_key, so each list starts sorted
+    groups = {}
+    for i in range(n):
+        groups.setdefault((covers[i], covered[i]), []).append((keys[i], i))
+
+    def is_leaf(i):
+        return not covered[i] and covers[i].bit_count() == 1
+
+    pairs = [(g[0][0], g[1][0], g[0][1], g[1][1]) for g in groups.values() if len(g) > 1]
+    leaves = [(keys[i], i) for i in range(n) if is_leaf(i)]
+    heapq.heapify(pairs)
+    heapq.heapify(leaves)
+
+    def leave(i):
+        sig = covers[i], covered[i]
+        g = groups[sig]
+        del g[bisect.bisect_left(g, (keys[i], i))]
+        if not g:
+            del groups[sig]
+
+    def join(i):
+        g = groups.setdefault((covers[i], covered[i]), [])
+        bisect.insort(g, (keys[i], i))
+        if len(g) > 1:
+            heapq.heappush(pairs, (g[0][0], g[1][0], g[0][1], g[1][1]))
+        if is_leaf(i):
+            heapq.heappush(leaves, (keys[i], i))
+
     slots = fresh_slots(P.labels)
-
-    def rec(S: Shrub) -> GenWord:
-        if len(S) == 1:
-            return GenWord.leaf(S.labels[0])
-        pairs = S.correlated_pairs()
-        if pairs:
-            a, b = pairs[0]
-            slot = next(slots)
-            rest = S.merge_correlated(a, b, slot)
-            inner = GenWord.node("C", slot, GenWord.leaf(a), GenWord.leaf(b))
+    steps = []
+    kept = 0
+    for _ in range(n - 1):
+        # An entry is stale once one of its keys has changed.  Nothing else
+        # can make it stale: a step changes the masks of all members of a
+        # class alike, so classes never split, and a leaf stays a leaf
+        # until it is peeled off or renamed.
+        while pairs:
+            ka, kb, a, b = heapq.heappop(pairs)
+            if keys[a] == ka and keys[b] == kb:
+                gen, kept, gone = "C", a, b
+                break
         else:
-            leaf = min(S.leaves(), key=label_key)
-            (under,) = S.covers(leaf)
-            slot = next(slots)
-            rest = S.delete_leaf(leaf).relabel({under: slot})
-            inner = GenWord.node("D", slot, GenWord.leaf(under), GenWord.leaf(leaf))
-        return _replace_leaf(rec(rest), slot, inner)
+            while True:
+                k, gone = heapq.heappop(leaves)
+                if keys[gone] == k:
+                    break
+            gen, kept = "D", covers[gone].bit_length() - 1
+        slot = next(slots)
+        steps.append((gen, slot, labels[kept], labels[gone]))
+        leave(gone)
+        bit = 1 << gone
+        for t in _bits(covers[gone] | covered[gone]):
+            leave(t)
+            covers[t] &= ~bit
+            covered[t] &= ~bit
+            join(t)
+        keys[gone] = None
+        leave(kept)
+        labels[kept] = slot
+        keys[kept] = label_key(slot)
+        join(kept)
 
-    return rec(P)
-
+    words = {}
+    for gen, slot, x, y in steps:
+        left = words.pop(x) if x in words else GenWord.leaf(x)
+        right = words.pop(y) if y in words else GenWord.leaf(y)
+        words[slot] = GenWord.node(gen, slot, left, right)
+    last = labels[kept]
+    return words.pop(last) if last in words else GenWord.leaf(last)

@@ -19,6 +19,7 @@ from .core import Shrub, label_key
 from .errors import CapExceeded, LabelClash, UnknownLabel
 
 ORDER_CAP = 9  # linear-extension enumeration is exponential past this
+_ONE = Fraction(1)
 
 TotalOrder = tuple
 
@@ -46,6 +47,17 @@ class ZinbElement:
         self.labels = labels
         self.coeffs = clean
         self._key = tuple(sorted(clean.items(), key=lambda kv: _order_key(kv[0])))
+
+    @classmethod
+    def _trusted(cls, labels, coeffs) -> "ZinbElement":
+        """Nonzero ``Fraction`` coefficients on distinct orders of the
+        frozenset ``labels``, inserted in ``terms()`` order (trusted, like
+        ``Shrub._from_parts``)."""
+        self = object.__new__(cls)
+        self.labels = labels
+        self.coeffs = coeffs
+        self._key = tuple(coeffs.items())
+        return self
 
     @classmethod
     def from_order(cls, order, coeff=1) -> "ZinbElement":
@@ -145,9 +157,17 @@ def gamma(P: Shrub) -> ZinbElement:
     """Coefficient 1 on every order compatible with ``P``.
 
     An operad morphism: ``gamma(compose(P, i, Q))`` equals
-    ``zinb_compose(gamma(P), i, gamma(Q))``.
+    ``zinb_compose(gamma(P), i, gamma(Q))``.  The orders come out of
+    :func:`compatible_orders` distinct and already in ``terms()`` order, so
+    after checking that each covers the labels of ``P`` the element is
+    built once, every order sharing one coefficient ``Fraction(1)``.
     """
-    return ZinbElement(P.labels, {o: 1 for o in compatible_orders(P)})
+    orders = compatible_orders(P)
+    labels = frozenset(P.labels)
+    for order in orders:
+        if len(order) != len(labels) or frozenset(order) != labels:
+            raise UnknownLabel(order, "order over the wrong label set")
+    return ZinbElement._trusted(labels, dict.fromkeys(orders, _ONE))
 
 
 def _extensions(elements, preds):

@@ -7,17 +7,18 @@ builds shuffles directly, the index-0 action substitutes variables into
 the compositional fraction ``kappa`` through the generic linear-form path
 (sharing only the inverse, ``reconstruct``, with the library), and the
 closed formula and its inverse run on linear forms, factored fractions and
-validated sub-shrubs instead of label masks.
+validated sub-shrubs instead of label masks.  The generator-word oracles
+peel and rebuild recursively, through validated intermediate shrubs.
 """
 
 import functools
 import itertools
 
 from shrubs.anticyclic import SignedShrub, act
-from shrubs.core import Shrub, label_key
-from shrubs.errors import CapExceeded, NotInImage
+from shrubs.core import Shrub, label_key, trivial_shrub
+from shrubs.errors import CapExceeded, MalformedWord, NotInImage
 from shrubs.mould import FactoredFraction, LinearForm, kappa
-from shrubs.operad import disjoint_union, graft, trivial_shrub
+from shrubs.operad import GenWord, disjoint_union, fresh_slots, graft
 from shrubs.reconstruction import reconstruct
 
 
@@ -50,6 +51,27 @@ def naive_forbidden_pattern(P: Shrub):
             }
             if all(_edge(P, a, b) == present for (a, b), present in wanted.items()):
                 return "F5", (x, y, p, q, r)
+    return None
+
+
+def first_pattern_by_pairs(covers):
+    """The first F4 or F5 witness as index tuples, trying every pair of
+    vertices in index order."""
+    n = len(covers)
+    bits = [[t for t in range(n) if m >> t & 1] for m in covers]
+    for w in range(n):
+        for x, y in itertools.combinations(bits[w], 2):
+            if covers[x] != covers[y]:
+                if not covers[y] & ~covers[x]:
+                    x, y = y, x
+                return "F4", (w, x, y, next(t for t in bits[y] if t not in bits[x]))
+    for x in range(n):
+        for y in range(x + 1, n):
+            common = set(bits[x]) & set(bits[y])
+            only_x = [t for t in bits[x] if t not in common]
+            only_y = [t for t in bits[y] if t not in common]
+            if common and only_x and only_y:
+                return "F5", (x, y, only_x[0], min(common), only_y[0])
     return None
 
 
@@ -331,6 +353,67 @@ def oracle_reconstruct(f: FactoredFraction, cap: int = 6) -> Shrub:
     if oracle_fraction(shrub) != f:
         raise NotInImage("the rebuilt shrub does not reproduce the fraction")
     return shrub
+
+
+def oracle_evaluate(word: GenWord) -> Shrub:
+    """Evaluate a word recursively, one validated graft or union per node."""
+    if not isinstance(word, GenWord):
+        raise MalformedWord(f"not a generator word: {word!r}")
+    labels = word.leaf_labels()
+    if len(set(labels)) != len(labels):
+        raise MalformedWord("leaf labels repeat")
+
+    def ev(w):
+        if w.gen == "leaf":
+            return trivial_shrub(w.label)
+        if len(w.args) != 2:
+            raise MalformedWord("a generator node needs exactly two args")
+        left, right = (ev(a) for a in w.args)
+        if w.gen == "C":
+            return disjoint_union(left, right)
+        if w.gen == "D":
+            return graft(left, right)
+        raise MalformedWord(f"unknown generator {w.gen!r}")
+
+    return ev(word)
+
+
+def _replace_leaf(word: GenWord, slot, replacement: GenWord) -> GenWord:
+    if word.gen == "leaf":
+        return replacement if word.label == slot else word
+    return GenWord(
+        gen=word.gen,
+        slot=word.slot,
+        args=tuple(_replace_leaf(a, slot, replacement) for a in word.args),
+    )
+
+
+def oracle_decompose(P: Shrub) -> GenWord:
+    """The peel on validated shrubs: merge the smallest correlated pair, else
+    delete the smallest leaf, recurse on the rest and substitute the step's
+    node for its slot in the word that comes back."""
+    if len(P) == 0:
+        raise ValueError("cannot decompose an empty shrub")
+    slots = fresh_slots(P.labels)
+
+    def rec(S: Shrub) -> GenWord:
+        if len(S) == 1:
+            return GenWord.leaf(S.labels[0])
+        pairs = S.correlated_pairs()
+        if pairs:
+            a, b = pairs[0]
+            slot = next(slots)
+            rest = S.merge_correlated(a, b, slot)
+            inner = GenWord.node("C", slot, GenWord.leaf(a), GenWord.leaf(b))
+        else:
+            leaf = min(S.leaves(), key=label_key)
+            (under,) = S.covers(leaf)
+            slot = next(slots)
+            rest = S.delete_leaf(leaf).relabel({under: slot})
+            inner = GenWord.node("D", slot, GenWord.leaf(under), GenWord.leaf(leaf))
+        return _replace_leaf(rec(rest), slot, inner)
+
+    return rec(P)
 
 
 def outcome(fn, *args):

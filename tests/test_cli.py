@@ -276,6 +276,8 @@ class TestMalformedInput:
         assert err.startswith("ValueError: label '10' cannot be written in fraction text")
 
     def run_limited(self, capsys, monkeypatch, owner, function, *args):
+        """Run the CLI with ``owner.function`` allowed only 100 frames more
+        than its caller has."""
         original = getattr(owner, function)
 
         def limited(*call_args, **kwargs):
@@ -287,28 +289,44 @@ class TestMalformedInput:
                 sys.setrecursionlimit(saved)
 
         monkeypatch.setattr(owner, function, limited)
-        code, out, err = run(capsys, *args)
+        return run(capsys, *args)
+
+    def check_recursion_error(self, code, out, err):
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("RecursionError:")
 
     def test_decompose_long_chain(self, capsys, monkeypatch, tmp_path):
+        # decompose runs without recursion, so 100 frames suffice for 150 levels
         path = tmp_path / "chain.json"
         path.write_text(chain(150).to_json())
-        self.run_limited(capsys, monkeypatch, operad, "decompose", "decompose", str(path))
+        want = operad.decompose(chain(150)).to_json()
+        code, out, err = self.run_limited(capsys, monkeypatch, operad, "decompose", "decompose", str(path))
+        assert (code, out, err) == (0, want + "\n", "")
 
     def test_evaluate_deep_word(self, capsys, monkeypatch, tmp_path):
+        # evaluate runs without recursion, so 100 frames suffice for 150 levels
         word = 0
         for k in range(1, 151):
             word = {"gen": "D", "slot": f"s{k}", "args": [k, word]}
         path = tmp_path / "word.json"
         path.write_text(json.dumps(word))
-        self.run_limited(capsys, monkeypatch, operad, "evaluate", "evaluate", str(path))
+        want = operad.evaluate(operad.GenWord.from_json(json.dumps(word))).to_json()
+        code, out, err = self.run_limited(capsys, monkeypatch, operad, "evaluate", "evaluate", str(path))
+        assert (code, out, err) == (0, want + "\n", "")
+
+    def test_decompose_word_too_deep_to_write(self, capsys, tmp_path):
+        # the word of a 5,000-vertex chain is built, but its JSON nests too deeply to write
+        path = tmp_path / "chain.json"
+        path.write_text(chain(5000).to_json())
+        self.check_recursion_error(*run(capsys, "decompose", str(path)))
 
     def test_reconstruct_long_chain(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(fraction_of_shrub(chain(150))))
-        self.run_limited(
-            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
+        self.check_recursion_error(
+            *self.run_limited(
+                capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
+            )
         )
 
 

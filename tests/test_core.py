@@ -17,9 +17,10 @@ from shrubs import (
     trivial_shrub,
 )
 from shrubs.checks import all_shrubs
+from shrubs.core import _find_pattern
 from shrubs.errors import CapExceeded
 
-from oracles import brute_force_isomorphic, graph_candidates, naive_forbidden_pattern
+from oracles import brute_force_isomorphic, first_pattern_by_pairs, graph_candidates, naive_forbidden_pattern
 from properties import holds
 
 
@@ -69,6 +70,16 @@ class TestValidation:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             Shrub([1], {1: 0}, [(1, 2)])
+
+    def test_witness_is_the_first_pair_in_index_order(self):
+        rng = random.Random(8)
+        for _ in range(4000):
+            heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 9))]
+            covers = []
+            for h in heights:
+                below = [t for t, g in enumerate(heights) if g == h - 1]
+                covers.append(sum(1 << t for t in below if rng.random() < 0.6))
+            assert _find_pattern(covers) == first_pattern_by_pairs(covers), covers
 
     def test_pattern_check_matches_naive_scan(self):
         # small exhaustive sweep of all height-axiom graphs, n <= 5

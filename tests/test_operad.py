@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubs import (
     GenWord,
@@ -15,8 +19,9 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
-from shrubs.checks import all_shrubs
+from shrubs.checks import all_shrubs, random_shrub
 
+from oracles import oracle_decompose, oracle_evaluate
 from properties import holds
 
 
@@ -131,6 +136,110 @@ class TestPresentation:
             GenWord.from_json('{"gen": "C", "args": [1]}')
         with pytest.raises(MalformedWord):
             evaluate(GenWord.node("C", "s", GenWord.leaf(1), GenWord.leaf(1)))
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            GenWord.node("C", "s", 1, 2),
+            GenWord.leaf(None),
+            GenWord.leaf(1.5),
+            GenWord.leaf([1]),
+            GenWord.leaf(True),
+            GenWord.node("D", "s", GenWord.leaf(1), GenWord.leaf(None)),
+        ],
+        ids=["bare-args", "none", "float", "list", "bool", "inner-none"],
+    )
+    def test_bad_arguments_and_labels_are_malformed(self, word):
+        with pytest.raises(MalformedWord):
+            evaluate(word)
+
+
+def chain(n):
+    """The path 0 - 1 - ... - n-1, rooted at 0."""
+    return Shrub(range(n), {v: v for v in range(n)}, [(v, v + 1) for v in range(n - 1)])
+
+
+# labels mixing ints and strs; the slot-like ones make ``fresh_slots`` skip
+# names, and ``□10`` sorts before ``□2``
+MIXED_LABELS = (0, 7, -3, "a", "b", "□0", "□2", "□10", "□tmp")
+
+
+def assert_same_word(P):
+    word, want = decompose(P), oracle_decompose(P)
+    assert word == want and word.to_json() == want.to_json(), P
+    assert evaluate(word) == P
+
+
+class TestDecomposeAgainstOracle:
+    def test_every_shrub_up_to_five(self):
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                assert_same_word(P)
+
+    def test_seeded_six_vertex_shrubs(self):
+        for P in random.Random(6).sample(all_shrubs(6), 1500):
+            assert_same_word(P)
+
+    def test_mixed_labels(self):
+        rng = random.Random(12)
+        for n in range(1, 6):
+            for P in all_shrubs(n)[:: 7 if n == 5 else 1]:
+                labels = rng.sample(MIXED_LABELS, n)
+                assert_same_word(P.relabel(dict(zip(P.labels, labels))))
+        for _ in range(300):
+            assert_same_word(random_shrub(rng.sample(MIXED_LABELS, rng.randint(1, 9)), rng))
+
+    def test_slot_names_skip_labels(self):
+        P = Shrub(["□0", "□1", 5], {"□0": 0, "□1": 0, 5: 0}, [])
+        assert decompose(P) == GenWord.node(
+            "C", "□3", GenWord.leaf("□1"), GenWord.node("C", "□2", GenWord.leaf(5), GenWord.leaf("□0"))
+        )
+
+    def test_long_chain_without_recursion(self):
+        P = chain(5000)
+        assert evaluate(decompose(P)) == P
+
+
+@st.composite
+def word_labels(draw):
+    """A leaf label, now and then a repeat or not a label at all."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from((True, None, 1.5, (1,), [1])))
+    return draw(st.integers(0, 15) | st.sampled_from(("a", "□0")))
+
+
+@st.composite
+def words(draw, depth=0):
+    """Generator words, mostly well formed: now and then a foreign
+    generator, a wrong number of arguments or an argument that is not a
+    word."""
+    kind = draw(st.integers(0, 23))
+    if depth >= 3 or kind < 8:
+        return GenWord.leaf(draw(word_labels()))
+    if kind == 23 and depth:
+        return draw(st.integers(0, 2))
+    gen = draw(st.sampled_from(("C", "D", "C", "D", "C", "D", "X", "leaf")))
+    arity = 2 if kind < 21 else draw(st.integers(0, 3))
+    args = tuple(draw(words(depth + 1)) for _ in range(arity))
+    return GenWord(gen=gen, label=draw(word_labels()), slot="s", args=args)
+
+
+def outcome(fn, word):
+    try:
+        return "ok", fn(word)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words())
+def test_evaluate_agrees_with_the_recursive_oracle(word):
+    got, want = outcome(evaluate, word), outcome(oracle_evaluate, word)
+    if want[0] in (TypeError, AttributeError):
+        # the oracle trips over a bad label or argument; the library names it
+        assert got[0] is MalformedWord
+    else:
+        assert got == want
 
 
 class TestGeneratorEnumeration:

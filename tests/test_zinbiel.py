@@ -18,6 +18,7 @@ from shrubs import (
     trivial_shrub,
     zinb_compose,
 )
+from shrubs import zinbiel
 from shrubs.checks import all_shrubs
 from shrubs.errors import CapExceeded
 
@@ -78,6 +79,22 @@ class TestGamma:
 
     def test_forest_orders_are_linear_extensions(self):
         holds("zinbiel/forest-linear-extensions")
+
+    def test_equals_the_checked_constructor(self):
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                got = gamma(P)
+                want = ZinbElement(P.labels, {o: 1 for o in compatible_orders(P)})
+                assert got.terms() == want.terms()
+                assert got.coeffs == want.coeffs and list(got.coeffs) == list(want.coeffs)
+                assert hash(got) == hash(want) and got == want
+
+    @pytest.mark.parametrize("bad", [(1, 2), (1, 2, 2), (1, 2, 9)])
+    def test_checks_each_order_against_the_labels(self, monkeypatch, bad):
+        # gamma looks compatible_orders up on the module, so a stand-in reaches it
+        monkeypatch.setattr(zinbiel, "compatible_orders", lambda P: ((1, 2, 3), bad))
+        with pytest.raises(UnknownLabel):
+            gamma(Shrub([1, 2, 3], {1: 0, 2: 0, 3: 0}, []))
 
 
 class TestComposition:
