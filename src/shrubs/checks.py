@@ -33,7 +33,7 @@ from .anticyclic import (
     orbit_invariant,
     ram_count_preserved,
 )
-from .core import Shrub, count_isomorphism_classes, enumerate_shrubs_bruteforce, label_key, trivial_shrub
+from .core import Shrub, enumerate_shrubs_bruteforce, label_key, trivial_shrub
 from .errors import ShrubError
 from .mould import (
     FactoredFraction,
@@ -57,7 +57,7 @@ from .operad import (
     pair_generator,
 )
 from .reconstruction import reconstruct
-from .series_parallel import count_series_parallel
+from .series_parallel import count_series_parallel, count_unlabeled_series_parallel
 from .zinbiel import ZinbElement, compatible_orders, gamma, zinb_compose
 
 
@@ -216,15 +216,20 @@ def upper_ideal_complement(max_n, seed):
     return True, f"all shrubs n<={max_n}, random seeds"
 
 
-@_register("core/iso-counts")
+@_register("core/iso-counts", size=_up_to(6))
 def iso_counts(max_n, seed):
-    stats = []
+    """The canonical forms of the shrubs on 1..n fall into as many classes,
+    and as many connected ones, as there are unlabeled series-parallel
+    posets, for every n <= max_n."""
+    got, got_connected = [], []
     for n in range(1, max_n + 1):
-        stats.append(count_isomorphism_classes(P for P in all_shrubs(n) if P.is_connected()))
-    expected5 = 30
-    if max_n >= 5 and stats[4] != expected5:
-        return False, f"connected iso classes at n=5: {stats[4]} != {expected5}"
-    return True, f"connected iso classes: {stats}"
+        classes = {P.canonical_form()[0] for P in all_shrubs(n)}
+        got.append(len(classes))
+        got_connected.append(sum(C.is_connected() for C in classes))
+    want, want_connected = count_unlabeled_series_parallel(max_n)
+    if (got, got_connected) != (want, want_connected):
+        return False, f"iso classes {got}, connected {got_connected}; series-parallel {want}, {want_connected}"
+    return True, f"iso classes {got}, connected {got_connected}"
 
 
 # -- operad -------------------------------------------------------------

@@ -204,8 +204,11 @@ class Shrub:
         self._covers = covers
         covered = [0] * len(labels)
         for j, m in enumerate(covers):
-            for i in _bits(m):
-                covered[i] |= 1 << j
+            bit = 1 << j
+            while m:
+                low = m & -m
+                covered[low.bit_length() - 1] |= bit
+                m ^= low
         self._covered = tuple(covered)
         self._hash = hash((labels, heights, covers))
         return self
@@ -459,37 +462,105 @@ class Shrub:
     def canonical_form(self):
         """Canonical relabeling to ``1..n`` plus the relabeling used.
 
-        Minimizes the serialized edge list over all height-compatible
-        relabelings; exponential in the largest level, fine for n <= 7.
-        Returns ``(canonical_shrub, {old_label: new_label})``.
+        New labels go level by level from height 0.  The canonical
+        relabeling minimizes the sorted edge list, that is, maximizes the
+        upper adjacency matrix read row by row; among ties it lists the old
+        vertices first in ``label_key`` (= index) order.  Returns
+        ``(canonical_shrub, {old_label: new_label})``.
+
+        Ordered refinement: each level is a list of cells, vertex masks
+        filling consecutive labels.  The next label goes to the member of
+        the first cell with the largest row (its up-neighbour count per
+        cell above), which splits each cell above in two.  The search
+        branches only on tied members that are not twins (same covers and
+        covered), in index order, keeps the first best and drops a branch
+        at its first row behind it.  Untied rows cost one pass; ties no
+        twin rule removes multiply, e.g. k disjoint two-vertex chains give
+        k! leaves where trying every relabeling costs (k!)^2.
         """
         n = len(self.labels)
         if n == 0:
             return self, {}
-        order = sorted(range(n), key=lambda i: (self._heights[i], label_key(self.labels[i])))
-        levels = []
-        for _, grp in itertools.groupby(order, key=lambda i: self._heights[i]):
-            levels.append(list(grp))
-        edge_idx = []
-        for j, m in enumerate(self._covers):
-            for i in _bits(m):
-                edge_idx.append((i, j))
-        best = None
-        best_assign = None
-        for perms in itertools.product(*(itertools.permutations(lv) for lv in levels)):
-            new = [0] * n
-            k = 1
-            for lv in perms:
-                for i in lv:
-                    new[i] = k
-                    k += 1
-            key = tuple(sorted((new[i], new[j]) if new[i] < new[j] else (new[j], new[i]) for i, j in edge_idx))
-            if best is None or key < best:
-                best = key
-                best_assign = new
-        heights = {best_assign[i]: self._heights[i] for i in range(n)}
-        canon = Shrub(range(1, n + 1), heights, list(best))
-        return canon, {self.labels[i]: best_assign[i] for i in range(n)}
+        heights, up = self._heights, self._covered
+        top = max(heights)
+        levels = [0] * (top + 2)
+        for i, h in enumerate(heights):
+            levels[h] |= 1 << i
+
+        def split(cells, u):
+            out = []
+            for c in cells:
+                a = c & u
+                if a and a != c:
+                    out += (a, c ^ a)
+                else:
+                    out.append(c)
+            return out
+
+        best_rows = best_order = None
+        branched = False  # rows are recorded once a later branch may compare them
+        # a path: its rows, its vertices in label order, the height it is
+        # at, that level's cells left (first cell last), the next level's
+        # cells, and whether it is already ahead of the best
+        stack = [([], [], 0, [levels[0]], [levels[1]], True)]
+        while stack:
+            rows, order, h, cur, nxt, ahead = stack.pop()
+            while True:
+                if not cur:
+                    h += 1
+                    cur, nxt = nxt[::-1], [levels[h + 1]]
+                if h == top:  # top cells hold twins (same covers, nothing above): index order
+                    for c in reversed(cur):
+                        order += _bits(c)
+                    break
+                cell = cur.pop()
+                if cell & (cell - 1):
+                    seen = set()  # members share their covers, so twins share `up`
+                    row = None
+                    for w in _bits(cell):
+                        u = up[w]
+                        if u not in seen:
+                            seen.add(u)
+                            r = tuple([(c & u).bit_count() for c in nxt])
+                            if row is None or r > row:
+                                row, ties = r, [w]
+                            elif r == row:
+                                ties.append(w)
+                    v = ties[0]
+                else:
+                    ties = ()
+                    v = cell.bit_length() - 1
+                    row = tuple([(c & up[v]).bit_count() for c in nxt]) if branched else None
+                if not ahead:
+                    if row < best_rows[len(order)]:
+                        break
+                    ahead = row > best_rows[len(order)]
+                for w in ties[:0:-1]:  # when popped, a sibling is level with the best
+                    branched = True
+                    rest = cur + [cell ^ (1 << w)]
+                    stack.append((rows + [row], order + [w], h, rest, split(nxt, up[w]), False))
+                rows.append(row)
+                order.append(v)
+                if cell ^ (1 << v):
+                    cur.append(cell ^ (1 << v))
+                if up[v]:
+                    nxt = split(nxt, up[v])
+            if len(order) == n and ahead:  # else the branch stopped behind the best
+                best_rows, best_order = rows, order
+
+        new = [0] * n
+        for p, v in enumerate(best_order, 1):
+            new[v] = p
+        covers = []
+        for v in best_order:
+            m, c = 0, self._covers[v]
+            while c:
+                low = c & -c
+                m |= 1 << (new[low.bit_length() - 1] - 1)
+                c ^= low
+            covers.append(m)
+        canon = Shrub._from_parts(tuple(range(1, n + 1)), tuple(heights[v] for v in best_order), tuple(covers))
+        return canon, dict(zip(self.labels, new))
 
     def is_isomorphic(self, other: "Shrub") -> bool:
         if len(self) != len(other):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -119,9 +118,43 @@ class GenWord:
         return cls(gen=gen, slot=slot, args=(left, right))
 
     def leaf_labels(self) -> tuple:
-        if self.gen == "leaf":
-            return (self.label,)
-        return tuple(itertools.chain.from_iterable(a.leaf_labels() for a in self.args))
+        out = []
+        stack = [self]
+        while stack:
+            w = stack.pop()
+            if w.gen == "leaf":
+                out.append(w.label)
+            else:
+                stack.extend(reversed(w.args))
+        return tuple(out)
+
+    def _fields(self):
+        """The fields of every node in pre-order, walked with an explicit
+        stack: ``(class, gen, label, slot, arity)`` for a node whose
+        arguments are a tuple, which come next; ``args`` whole in a sixth
+        place when they are not a tuple; ``(value,)`` for an argument that
+        is not a word.  The arities make the sequence prefix-free: two
+        words are equal exactly when their sequences are."""
+        stack = [self]
+        while stack:
+            w = stack.pop()
+            if not isinstance(w, GenWord):
+                yield (w,)
+            elif type(w.args) is tuple:
+                yield (w.__class__, w.gen, w.label, w.slot, len(w.args))
+                stack.extend(reversed(w.args))
+            else:
+                yield (w.__class__, w.gen, w.label, w.slot, None, w.args)
+
+    def __eq__(self, other):
+        """Field by field, node by node, so deep words compare without
+        recursion."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in zip(self._fields(), other._fields()))
+
+    def __hash__(self):
+        return hash(tuple(self._fields()))
 
     def to_json_obj(self):
         if self.gen == "leaf":

@@ -1,10 +1,11 @@
-"""Independent counting oracle: labeled series-parallel posets.
+"""Independent counting oracles: series-parallel posets.
 
 Series-parallel posets are built from singletons by disjoint union and
-ordinal sum.  Shrubs on a fixed label set are equinumerous with them, so
-the count produced here cross-checks the shrub enumerators without sharing
-any code with them.  A poset is stored as the frozenset of its strict
-relations ``(a, b)`` meaning ``a < b``.
+ordinal sum.  Shrubs on a fixed label set are equinumerous with them, and
+so are their isomorphism classes, so the counts produced here cross-check
+the shrub enumerator and ``Shrub.canonical_form`` without sharing any code
+with them.  A poset is stored as the frozenset of its strict relations
+``(a, b)`` meaning ``a < b``.
 """
 
 from __future__ import annotations
@@ -49,3 +50,25 @@ def count_series_parallel(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return len(series_parallel_posets(range(1, n + 1)))
+
+
+def count_unlabeled_series_parallel(max_n: int) -> tuple:
+    """Unlabeled series-parallel posets on 1..max_n points: two lists, all
+    of them and the connected ones, indexed from one point.
+
+    Exact integer coefficients of two ordinary generating functions.  A
+    poset is a nonempty multiset of connected ones, ``S = MSET>=1(C)``
+    (the Euler transform), and a connected one is a single point or the
+    ordinal sum of a bottom that is a single point or disconnected with
+    anything on top, ``C = x + (x + S - C)*S``.  This gives 1, 2, 5, 15,
+    48, 167, 602, ... and 1, 1, 3, 9, 30, 103, 375, ... (OEIS A003430).
+    """
+    s = [1] + [0] * max_n  # s[0] = 1 stands for the empty multiset
+    c = [0] * (max_n + 1)
+    b = [0] * (max_n + 1)  # b[m]: sum of d * c[d] over the divisors d of m
+    for m in range(1, max_n + 1):
+        c[m] = (m == 1) + sum(((k == 1) + s[k] - c[k]) * s[m - k] for k in range(1, m))
+        for k in range(m, max_n + 1, m):
+            b[k] += m * c[m]
+        s[m] = sum(b[k] * s[m - k] for k in range(1, m + 1)) // m
+    return s[1:], c[1:]

@@ -2,7 +2,8 @@
 
 Nothing here shares logic with the library implementations it checks: the
 pattern scan walks every 4- and 5-vertex induced subgraph, isomorphism
-tries every height-preserving bijection, the order-composition oracle
+tries every height-preserving bijection, the canonical form tries every
+product of per-level permutations, the order-composition oracle
 builds shuffles directly, the index-0 action substitutes variables into
 the compositional fraction ``kappa`` through the generic linear-form path
 (sharing only the inverse, ``reconstruct``, with the library), and the
@@ -15,7 +16,7 @@ import functools
 import itertools
 
 from shrubs.anticyclic import SignedShrub, act
-from shrubs.core import Shrub, label_key, trivial_shrub
+from shrubs.core import Shrub, _bits, label_key, trivial_shrub
 from shrubs.errors import CapExceeded, MalformedWord, NotInImage
 from shrubs.mould import FactoredFraction, LinearForm, kappa
 from shrubs.operad import GenWord, disjoint_union, fresh_slots, graft
@@ -127,6 +128,40 @@ def brute_force_isomorphic(P: Shrub, Q: Shrub) -> bool:
         if mapped == actual:
             return True
     return False
+
+
+def oracle_canonical_form(P: Shrub):
+    """``Shrub.canonical_form`` by exhaustion: every product of per-level
+    permutations, keeping the first relabeling (in ``itertools.product``
+    order) that minimizes the sorted edge list, validated through
+    ``Shrub(...)``."""
+    n = len(P.labels)
+    if n == 0:
+        return P, {}
+    order = sorted(range(n), key=lambda i: (P._heights[i], label_key(P.labels[i])))
+    levels = []
+    for _, grp in itertools.groupby(order, key=lambda i: P._heights[i]):
+        levels.append(list(grp))
+    edge_idx = []
+    for j, m in enumerate(P._covers):
+        for i in _bits(m):
+            edge_idx.append((i, j))
+    best = None
+    best_assign = None
+    for perms in itertools.product(*(itertools.permutations(lv) for lv in levels)):
+        new = [0] * n
+        k = 1
+        for lv in perms:
+            for i in lv:
+                new[i] = k
+                k += 1
+        key = tuple(sorted((new[i], new[j]) if new[i] < new[j] else (new[j], new[i]) for i, j in edge_idx))
+        if best is None or key < best:
+            best = key
+            best_assign = new
+    heights = {best_assign[i]: P._heights[i] for i in range(n)}
+    canon = Shrub(range(1, n + 1), heights, list(best))
+    return canon, {P.labels[i]: best_assign[i] for i in range(n)}
 
 
 def _shuffles(a, b):

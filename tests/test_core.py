@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,21 @@ from shrubs import (
     Shrub,
     UnknownLabel,
     Unsupported,
+    count_isomorphism_classes,
     enumerate_shrubs_bruteforce,
     trivial_shrub,
 )
-from shrubs.checks import all_shrubs
+from shrubs.checks import all_shrubs, random_shrub
 from shrubs.core import _find_pattern
 from shrubs.errors import CapExceeded
 
-from oracles import brute_force_isomorphic, first_pattern_by_pairs, graph_candidates, naive_forbidden_pattern
+from oracles import (
+    brute_force_isomorphic,
+    first_pattern_by_pairs,
+    graph_candidates,
+    naive_forbidden_pattern,
+    oracle_canonical_form,
+)
 from properties import holds
 
 
@@ -227,6 +235,85 @@ class TestIsomorphism:
         for P in all_shrubs(4):
             canon, relab = P.canonical_form()
             assert P.relabel(relab) == canon
+
+    def test_canonical_form_equals_the_exhaustive_oracle(self):
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                assert_canonical_form_as_oracle(P)
+        rng = random.Random(13)
+        for P in rng.sample(all_shrubs(6), 3000):
+            assert_canonical_form_as_oracle(P)
+        for n, count in ((7, 300), (8, 100)):
+            for _ in range(count):
+                assert_canonical_form_as_oracle(random_shrub(range(1, n + 1), rng))
+
+    def test_canonical_form_breaks_ties_in_label_key_order(self):
+        rng = random.Random(14)
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                labels = rng.sample(MIXED_LABELS, n)
+                assert_canonical_form_as_oracle(P.relabel(dict(zip(P.labels, labels))))
+
+    def test_count_isomorphism_classes(self):
+        rng = random.Random(15)
+        shrubs = list(all_shrubs(4))
+        for P in rng.sample(shrubs, 50):
+            perm = list(P.labels)
+            rng.shuffle(perm)
+            shrubs.append(P.relabel(dict(zip(P.labels, [f"v{k}" for k in perm]))))
+        assert count_isomorphism_classes(shrubs) == 15
+
+
+MIXED_LABELS = (0, 7, -3, "a", "b", "□0", "x1", 12, "Z")
+
+
+def assert_canonical_form_as_oracle(P):
+    canon, relabeling = P.canonical_form()
+    want_canon, want_relabeling = oracle_canonical_form(P)
+    assert canon == want_canon, P
+    assert relabeling == want_relabeling, P
+
+
+def star_of_leaves(k):
+    return Shrub(range(k + 1), {v: min(v, 1) for v in range(k + 1)}, [(0, v) for v in range(1, k + 1)])
+
+
+def complete_bipartite(k):
+    return Shrub(range(2 * k), {v: v // k for v in range(2 * k)}, [(a, b) for a in range(k) for b in range(k, 2 * k)])
+
+
+def two_vertex_chains(k):
+    return Shrub(range(2 * k), {v: v % 2 for v in range(2 * k)}, [(v, v + 1) for v in range(0, 2 * k, 2)])
+
+
+class TestCanonicalFormHardCases:
+    """Shapes on which the exhaustive search blows up: 12! relabelings of
+    the star's leaves, 6!·6! of the bipartite shrub and of the six chains.
+    The 5,000-vertex chain is far deeper than the default recursion limit,
+    so it checks that the search never recurses."""
+
+    @pytest.mark.parametrize(
+        "make, seconds",
+        [
+            (lambda: star_of_leaves(12), 0.5),
+            (lambda: complete_bipartite(6), 0.5),
+            (lambda: two_vertex_chains(6), None),
+            (lambda: chain(*range(5000)), None),
+        ],
+        ids=["star-12", "bipartite-6-6", "chains-6x2", "chain-5000"],
+    )
+    def test_relabeling_onto_one_to_n_and_invariant(self, make, seconds):
+        P = make()
+        start = time.perf_counter()
+        canon, relabeling = P.canonical_form()
+        elapsed = time.perf_counter() - start
+        assert canon.labels == tuple(range(1, len(P) + 1))
+        assert P.relabel(relabeling) == canon
+        perm = list(P.labels)
+        random.Random(16).shuffle(perm)
+        assert P.relabel(dict(zip(P.labels, perm))).canonical_form()[0] == canon
+        if seconds is not None:
+            assert elapsed < seconds
 
 
 class TestEnumeration:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -197,7 +198,12 @@ class TestDecomposeAgainstOracle:
 
     def test_long_chain_without_recursion(self):
         P = chain(5000)
-        assert evaluate(decompose(P)) == P
+        word = decompose(P)
+        assert evaluate(word) == P
+        again = decompose(P)
+        assert word == again and hash(word) == hash(again)
+        assert word != decompose(P.relabel({4999: 5000}))
+        assert sorted(word.leaf_labels()) == list(P.labels)
 
 
 @st.composite
@@ -240,6 +246,33 @@ def test_evaluate_agrees_with_the_recursive_oracle(word):
         assert got[0] is MalformedWord
     else:
         assert got == want
+
+
+def recursive_fields(w):
+    """The nested field tuple the dataclass compared and hashed."""
+    if not isinstance(w, GenWord):
+        return w
+    return (w.gen, w.label, w.slot, tuple(recursive_fields(a) for a in w.args))
+
+
+def recursive_leaf_labels(w):
+    if w.gen == "leaf":
+        return (w.label,)
+    return tuple(label for a in w.args for label in recursive_leaf_labels(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(words(), words(), st.booleans())
+def test_equality_hash_and_leaves_as_the_recursive_definitions(a, b, same):
+    if same:
+        b = copy.deepcopy(a)
+    assert (a == b) == (recursive_fields(a) == recursive_fields(b))
+    got, want = outcome(hash, a), outcome(lambda w: hash(recursive_fields(w)), a)
+    assert got[0] == want[0]
+    if a == b and got[0] == "ok":
+        assert hash(a) == hash(b)
+    got, want = outcome(GenWord.leaf_labels, a), outcome(recursive_leaf_labels, a)
+    assert got[0] == want[0] and (got[0] != "ok" or got == want)
 
 
 class TestGeneratorEnumeration:
