@@ -309,28 +309,32 @@ class Shrub:
             covers.append(m)
         return Shrub._from_parts(labels, heights, tuple(covers))
 
+    def _component_mask(self, s) -> int:
+        """Mask of the connected component of vertex ``s``, by flood fill."""
+        frontier = 1 << s
+        comp = 0
+        while frontier:
+            comp |= frontier
+            new = 0
+            for i in _bits(frontier):
+                new |= self._covers[i] | self._covered[i]
+            frontier = new & ~comp
+        return comp
+
     def connected_components(self) -> tuple:
         """The connected induced sub-shrubs, by increasing least label."""
-        n = len(self.labels)
         seen = 0
         comps = []
-        for s in range(n):
-            if seen >> s & 1:
-                continue
-            frontier = 1 << s
-            comp = 0
-            while frontier:
-                comp |= frontier
-                new = 0
-                for i in _bits(frontier):
-                    new |= self._covers[i] | self._covered[i]
-                frontier = new & ~comp
-            seen |= comp
-            comps.append(self._restrict_mask(comp))
+        for s in range(len(self.labels)):
+            if not seen >> s & 1:
+                comp = self._component_mask(s)
+                seen |= comp
+                comps.append(self._restrict_mask(comp))
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        return len(self.labels) > 0 and len(self.connected_components()) == 1
+        n = len(self.labels)
+        return n > 0 and self._component_mask(0) == (1 << n) - 1
 
     def ram_classes(self) -> tuple:
         """Equivalence classes of ramified vertices, grouped by target set.

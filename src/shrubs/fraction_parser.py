@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .core import label_key
 from .errors import ZeroDenominator
-from .mould import _LABEL_TEXT, FactoredFraction, LinearForm, _forms
+from .mould import _LABEL_TEXT, FactoredFraction, LinearForm
 
 
 def parse(text: str) -> FactoredFraction:
@@ -97,12 +97,22 @@ def _parse_canonical(text):
     values = set(read.values())
     ordered = sorted(values) if all(type(v) is int for v in values) else sorted(values, key=label_key)
     rank = {v: i for i, v in enumerate(ordered)}
-    index = {t: rank[v] for t, v in read.items()}
-    num = [tuple(sorted(map(index.__getitem__, form))) for form in num]
-    den = [tuple(sorted(map(index.__getitem__, form))) for form in den]
-    if any(len(set(row)) < len(row) for row in num + den) or not set(num).isdisjoint(den):
+    bit = {t: 1 << rank[v] for t, v in read.items()}
+    masks = []
+    for side in (num, den):
+        out = []
+        for form in side:
+            m = 0
+            for t in form:
+                m |= bit[t]
+            if m.bit_count() < len(form):
+                return None
+            out.append(m)
+        masks.append(tuple(sorted(out)))
+    num, den = masks
+    if not set(num).isdisjoint(den):
         return None
-    return FactoredFraction._trusted(_forms(ordered, num), _forms(ordered, den))
+    return FactoredFraction._of_masks(tuple(ordered), num, den)
 
 
 def _parse_general(text):

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .core import Shrub, _bits, label_key
+from .core import Shrub, label_key
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -304,9 +304,12 @@ class FactoredFraction:
 
     The numerator and denominator are multisets of canonical linear forms
     sharing no common factor; the scalar is a positive rational.
+
+    A fraction built from label masks (:meth:`_of_masks`) keeps its record
+    in ``_masks`` and builds ``num``, ``den`` and its hash on first read.
     """
 
-    __slots__ = ("sign", "scalar", "num", "den", "_hash")
+    __slots__ = ("sign", "scalar", "num", "den", "_hash", "_masks")
 
     def __init__(self, sign=1, scalar=1, num=(), den=()):
         scalar = Fraction(scalar)
@@ -335,18 +338,29 @@ class FactoredFraction:
         self.num = _sorted_forms(kept_num)
         self.den = _sorted_forms(kept_den)
         self._hash = hash((self.sign, self.scalar, self.num, self.den))
+        self._masks = None
 
     @classmethod
-    def _trusted(cls, num, den) -> "FactoredFraction":
-        """Sign +1 and scalar 1 over already sorted factor tuples sharing
-        no factor (trusted, like ``Shrub._from_parts``)."""
+    def _of_masks(cls, labels, num, den) -> "FactoredFraction":
+        """Sign +1 and scalar 1 over the 0/1 factors of a mask record:
+        ``labels`` sorted by ``label_key``, each of them in some factor, and
+        numerically sorted ``num`` and ``den`` masks sharing no factor
+        (trusted, like ``Shrub._from_parts``)."""
         self = object.__new__(cls)
         self.sign = 1
         self.scalar = _ONE
-        self.num = num
-        self.den = den
-        self._hash = hash((1, _ONE, num, den))
+        self._masks = (labels, num, den)
         return self
+
+    def __getattr__(self, name):
+        # called only for an unset slot: the forms of a mask record
+        if name not in ("num", "den", "_hash") or self._masks is None:
+            raise AttributeError(name)
+        labels, num, den = self._masks
+        self.num = _forms(labels, num)
+        self.den = _forms(labels, den)
+        self._hash = hash((1, _ONE, self.num, self.den))
+        return object.__getattribute__(self, name)
 
     @classmethod
     def one(cls) -> "FactoredFraction":
@@ -441,6 +455,8 @@ class FactoredFraction:
 def format_fraction(ff: FactoredFraction) -> str:
     """Canonical text: sign, optional scalar, then ``(f1)(f2)/((g1)(g2))``.
     ``ValueError`` for a label the text cannot carry (see ``LinearForm.text``)."""
+    if ff._masks is not None:
+        return _mask_text(*ff._masks)
     head = "-" if ff.sign < 0 else ""
     if ff.scalar != 1:
         head += f"{ff.scalar}*"
@@ -457,7 +473,7 @@ def parse_fraction(text: str) -> FactoredFraction:
     """Parse the fraction grammar back into a factored fraction.
 
     Text in the shape :func:`format_fraction` writes for a shrub is read
-    straight into sorted 0/1 forms: no sign, scalar or space, ``1`` or
+    straight into its mask record: no sign, scalar or space, ``1`` or
     juxtaposed factors, then optionally ``/`` and one factor or several
     wrapped in one more pair of parentheses, each factor a sum of distinct
     labels, none on both sides.  Every other spelling of the grammar
@@ -573,8 +589,9 @@ def embed_zinb(x: ZinbElement) -> MouldElement:
 # Every factor of a shrub fraction is a 0/1 sum over labels.  Inside the
 # library a fraction over ``labels`` (sorted by ``label_key``) is therefore
 # kept as two tuples of ints, the numerator and denominator masks, sorted
-# numerically: bit ``i`` of a mask stands for ``labels[i]``.  Factored
-# fractions are built from masks only at the public boundary.
+# numerically: bit ``i`` of a mask stands for ``labels[i]``.  A factored
+# fraction of a shrub keeps that record; its text is written from the masks,
+# and its linear forms are built only when something reads them.
 
 
 def shrub_masks(P: Shrub) -> tuple:
@@ -620,20 +637,43 @@ def shrub_masks(P: Shrub) -> tuple:
     return tuple(num), tuple(den)
 
 
-def _forms(labels, rows) -> tuple:
-    """The 0/1 linear forms of ``rows``, ascending index tuples into
-    ``labels``, in ``LinearForm.sort_key`` order.
-
-    Labels are sorted by ``label_key``, so ordering the forms is ordering
-    the rows.
-    """
-    terms = [(v, 1) for v in labels]
-    return tuple(LinearForm(tuple(map(terms.__getitem__, row))) for row in sorted(rows))
-
-
 def _rows(masks) -> list:
-    """The ascending index tuple of each mask."""
-    return [tuple(_bits(m)) for m in masks]
+    """The ascending index list of each mask, sorted: ``LinearForm.sort_key``
+    order of the forms, since labels are sorted by ``label_key``."""
+    rows = []
+    for m in masks:
+        row = []
+        while m:
+            low = m & -m
+            row.append(low.bit_length() - 1)
+            m ^= low
+        rows.append(row)
+    rows.sort()
+    return rows
+
+
+def _forms(labels, masks) -> tuple:
+    """The 0/1 linear forms of ``masks`` over ``labels``, in
+    ``LinearForm.sort_key`` order."""
+    terms = [(v, 1) for v in labels]
+    return tuple(LinearForm(tuple(map(terms.__getitem__, row))) for row in _rows(masks))
+
+
+def _mask_text(labels, num, den) -> str:
+    """:func:`format_fraction` of a mask record, written from the rows.
+    Labels are checked in writing order, so a refused one is the one the
+    forms would name."""
+    num, den = _rows(num), _rows(den)
+    if any(type(v) is not int or v < 0 for v in labels):
+        for row in num + den:
+            for i in row:
+                _check_text_label(labels[i])
+    names = [f"u{v}" for v in labels]
+    num_text = "".join(f"({'+'.join(map(names.__getitem__, row))})" for row in num) or "1"
+    if not den:
+        return num_text
+    den_text = "".join(f"({'+'.join(map(names.__getitem__, row))})" for row in den)
+    return f"{num_text}/({den_text})" if len(den) > 1 else f"{num_text}/{den_text}"
 
 
 def shrub_fraction_factors(P: Shrub):
@@ -643,17 +683,16 @@ def shrub_fraction_factors(P: Shrub):
     check that they already share nothing.
     """
     num, den = shrub_masks(P)
-    return list(_forms(P.labels, _rows(num))), list(_forms(P.labels, _rows(den)))
+    return list(_forms(P.labels, num)), list(_forms(P.labels, den))
 
 
 def fraction_of_shrub(P: Shrub) -> FactoredFraction:
     """The closed-formula fraction of a shrub (reduced, squarefree).
 
     The factors of :func:`shrub_masks` are already reduced, so the result
-    is built without reducing again.
+    keeps their record and builds no linear form until one is read.
     """
-    num, den = shrub_masks(P)
-    return FactoredFraction._trusted(_forms(P.labels, _rows(num)), _forms(P.labels, _rows(den)))
+    return FactoredFraction._of_masks(P.labels, *shrub_masks(P))
 
 
 @functools.lru_cache(maxsize=1024)

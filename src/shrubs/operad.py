@@ -156,6 +156,29 @@ class GenWord:
     def __hash__(self):
         return hash(tuple(self._fields()))
 
+    def __repr__(self):
+        """The dataclass repr, written with an explicit stack so that deep
+        words need no recursion."""
+        parts = []
+        stack = [self]
+        while stack:
+            w = stack.pop()
+            if type(w) is str:  # text; every argument is pushed as a word or its repr
+                parts.append(w)
+                continue
+            head = f"{w.__class__.__qualname__}(gen={w.gen!r}, label={w.label!r}, slot={w.slot!r}, args="
+            if type(w.args) is not tuple:
+                parts.append(f"{head}{w.args!r})")
+                continue
+            parts.append(head + "(")
+            stack.append(",))" if len(w.args) == 1 else "))")
+            for k in reversed(range(len(w.args))):
+                a = w.args[k]
+                stack.append(a if isinstance(a, GenWord) else repr(a))
+                if k:
+                    stack.append(", ")
+        return "".join(parts)
+
     def to_json_obj(self):
         if self.gen == "leaf":
             return self.label

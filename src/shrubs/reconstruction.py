@@ -76,7 +76,10 @@ def recover_heights(f: FactoredFraction, labels=None, cap: int = DEFAULT_CAP) ->
 
 
 def _record(f: FactoredFraction) -> tuple:
-    """``(labels, num masks, den masks)`` of ``f``, masks sorted numerically."""
+    """``(labels, num masks, den masks)`` of ``f``, masks sorted numerically:
+    the record a fraction built from masks keeps, else read off its forms."""
+    if f._masks is not None:
+        return f._masks
     labels = tuple(sorted({v for g in f.num + f.den for v, _ in g.terms}, key=label_key))
     index = {v: i for i, v in enumerate(labels)}
 

@@ -8,10 +8,13 @@ builds shuffles directly, the index-0 action substitutes variables into
 the compositional fraction ``kappa`` through the generic linear-form path
 (sharing only the inverse, ``reconstruct``, with the library), and the
 closed formula and its inverse run on linear forms, factored fractions and
-validated sub-shrubs instead of label masks.  The generator-word oracles
-peel and rebuild recursively, through validated intermediate shrubs.
+validated sub-shrubs instead of label masks, and fraction text is written
+from the linear forms.  The generator-word oracles peel and rebuild
+recursively, through validated intermediate shrubs, and the word repr is
+spliced from the repr ``dataclasses`` generates for each node.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -255,6 +258,21 @@ def oracle_fraction(P: Shrub) -> FactoredFraction:
     return FactoredFraction(1, 1, *oracle_fraction_factors(P))
 
 
+def oracle_format_fraction(ff: FactoredFraction) -> str:
+    """Fraction text written from the linear forms, one ``LinearForm.text``
+    per factor, numerator first."""
+    head = "-" if ff.sign < 0 else ""
+    if ff.scalar != 1:
+        head += f"{ff.scalar}*"
+    num = "".join(f"({f.text()})" for f in ff.num) or "1"
+    if not ff.den:
+        return head + num
+    den = "".join(f"({f.text()})" for f in ff.den)
+    if len(ff.den) > 1:
+        den = f"({den})"
+    return f"{head}{num}/{den}"
+
+
 def oracle_components(f: FactoredFraction) -> tuple:
     """Labels joined by shared denominator factors, by union-find."""
     labels = sorted(f.labels, key=label_key)
@@ -449,6 +467,42 @@ def oracle_decompose(P: Shrub) -> GenWord:
         return _replace_leaf(rec(rest), slot, inner)
 
     return rec(P)
+
+
+# a dataclass with the fields of GenWord and its name, so that its repr is
+# the one ``dataclasses`` generates for GenWord
+_PlainWord = dataclasses.make_dataclass("GenWord", ["gen", "label", "slot", "args"], frozen=True)
+_MARK = "\x00"
+
+
+class _Marker:
+    def __repr__(self):
+        return _MARK
+
+
+def dataclass_repr(word) -> str:
+    """The dataclass repr of ``word``: each node's own repr with markers for
+    its arguments, spliced together with an explicit stack."""
+    out = []
+    stack = [(word,)]  # text as str, a node in a 1-tuple
+    while stack:
+        w = stack.pop()
+        if type(w) is str:
+            out.append(w)
+            continue
+        (w,) = w
+        if not isinstance(w, GenWord):
+            out.append(repr(w))
+        elif type(w.args) is not tuple:
+            out.append(repr(_PlainWord(w.gen, w.label, w.slot, w.args)))
+        else:
+            marked = _PlainWord(w.gen, w.label, w.slot, tuple(_Marker() for _ in w.args))
+            pieces = repr(marked).split(_MARK)
+            for k in reversed(range(len(pieces))):
+                stack.append(pieces[k])
+                if k:
+                    stack.append((w.args[k - 1],))
+    return "".join(out)
 
 
 def outcome(fn, *args):

@@ -21,6 +21,9 @@ from shrubs import (
 )
 from shrubs import checks, core, operad, reconstruction
 from shrubs.cli import main
+from shrubs.fraction_parser import _parse_general
+
+from oracles import oracle_format_fraction, oracle_fraction, oracle_reconstruct
 
 
 @pytest.fixture
@@ -206,6 +209,46 @@ def stack_depth():
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     return depth
+
+
+# labels fraction text refuses, one or two to a shrub, in numerator and
+# denominator factors
+BAD_LABEL_SHRUBS = (
+    graft_generator(-3, "x"),
+    graft_generator("x", "10"),
+    pair_generator("a b", "10"),
+    Shrub(["a b", "zz", -3, 5], {"a b": 0, "zz": 0, -3: 1, 5: 1}, [("a b", -3), ("a b", 5), ("zz", -3), ("zz", 5)]),
+)
+
+
+class TestWriterAsTheFormPath:
+    """``shrubs fraction`` then ``shrubs reconstruct`` print the bytes and
+    exit codes of the form path: text written from linear forms, read back
+    by the general parser and rebuilt by the oracle."""
+
+    @staticmethod
+    def expected_fraction(P):
+        try:
+            return 0, oracle_format_fraction(oracle_fraction(P)) + "\n", ""
+        except ValueError as exc:
+            return 1, "", f"ValueError: {exc}\n"
+
+    def test_every_shrub_up_to_four_and_refused_labels(self, capsys, tmp_path):
+        shrub_file, fraction_file = tmp_path / "shrub.json", tmp_path / "fraction.txt"
+        shrubs = [P for n in range(1, 5) for P in checks.all_shrubs(n)] + list(BAD_LABEL_SHRUBS)
+        refused = 0
+        for P in shrubs:
+            shrub_file.write_text(P.to_json())
+            got = run(capsys, "fraction", str(shrub_file))
+            assert got == self.expected_fraction(P), P
+            if got[0]:
+                refused += 1
+                continue
+            fraction_file.write_text(got[1])
+            expected = oracle_reconstruct(_parse_general(got[1])).to_json()
+            assert expected == P.to_json()
+            assert run(capsys, "reconstruct", str(fraction_file)) == (0, expected + "\n", "")
+        assert refused == len(BAD_LABEL_SHRUBS)
 
 
 class TestMalformedInput:

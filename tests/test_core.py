@@ -146,6 +146,16 @@ class TestQueries:
         assert sorted(len(c) for c in comps) == [1, 2]
         assert trivial_shrub(1).connected_components() == (trivial_shrub(1),)
 
+    def test_is_connected_as_one_component(self):
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                assert P.is_connected() == (len(P.connected_components()) == 1), P
+        empty = Shrub([], {}, [])
+        assert not empty.is_connected() and empty.connected_components() == ()
+        long = chain(*range(5000))
+        assert long.is_connected() and long.connected_components() == (long,)
+        assert not Shrub([*range(5000), "x"], {**long.height_map, "x": 0}, long.edges).is_connected()
+
     def test_ram_classes(self):
         B = Shrub([1, 2, 3, 4], {1: 0, 2: 0, 3: 1, 4: 1}, [(1, 3), (1, 4), (2, 3), (2, 4)])
         (rc,) = B.ram_classes()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from shrubs import (
     NotInZinbielImage,
     Polynomial,
     RationalFunction,
+    Shrub,
     ZinbElement,
     compose,
     deformed_generators,
@@ -31,9 +34,10 @@ from shrubs import (
 from shrubs.checks import all_shrubs
 from shrubs.errors import CapExceeded, DegreeCapExceeded, LabelClash, UnknownLabel, ZeroDenominator
 from shrubs.fraction_parser import _parse_canonical, _parse_general
-from shrubs.mould import shrub_fraction_factors
+from shrubs.mould import shrub_fraction_factors, shrub_masks
+from shrubs.reconstruction import _record
 
-from oracles import oracle_fraction, oracle_fraction_factors
+from oracles import oracle_format_fraction, oracle_fraction, oracle_fraction_factors
 from properties import holds
 
 
@@ -185,6 +189,120 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^label {label!r} cannot be written in fraction text"):
             format_fraction(f)
         assert "LinearForm(" in repr(f)  # repr still works
+
+
+def form_built(f):
+    """A copy of ``f`` built by ``FactoredFraction.__init__`` from its forms."""
+    return FactoredFraction(f.sign, f.scalar, f.num, f.den)
+
+
+def text_outcome(fn, f):
+    try:
+        return "ok", fn(f)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+# mixed int and str labels, all of which fraction text carries
+MIXED_TEXT_LABELS = (0, 7, "a", "b", "□0", "x1")
+
+
+class TestMaskBackedFraction:
+    """A fraction built from masks agrees with its form-built copy, whether
+    or not its forms have been built yet."""
+
+    Q = graft_generator("q0", "q1")
+
+    def assert_as_form_built(self, P, rng):
+        def fresh():  # forms not built yet
+            return fraction_of_shrub(P)
+
+        assert fresh()._masks == (P.labels, *shrub_masks(P))
+        g = form_built(fresh())
+        assert g._masks is None
+        assert fresh() == g and g == fresh()
+        assert hash(fresh()) == hash(g)
+        assert format_fraction(fresh()) == format_fraction(g) == oracle_format_fraction(g)
+        assert repr(fresh()) == repr(g)
+        assert fresh().sort_key() == g.sort_key()
+        assert fresh().labels == g.labels == frozenset(P.labels)
+        q, q_form = fraction_of_shrub(self.Q), form_built(fraction_of_shrub(self.Q))
+        assert fresh() * q == g * q_form and q * fresh() == q_form * g
+        if rng.random() < 0.2:  # the costliest check, on a seeded fifth
+            i = rng.choice(P.labels)
+            composed = g.compose_at(i, q_form, self.Q.labels)
+            assert fresh().compose_at(i, q, self.Q.labels) == composed
+            assert g.compose_at(i, q, self.Q.labels) == composed
+        for c in (copy.copy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+            assert c == g and g == c and hash(c) == hash(g) and c._masks == fresh()._masks
+            assert format_fraction(c) == format_fraction(g)
+
+    def test_every_shrub_up_to_five(self):
+        rng = random.Random(21)
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                self.assert_as_form_built(P, rng)
+
+    def test_seeded_six_vertex_shrubs(self):
+        rng = random.Random(22)
+        for P in rng.sample(all_shrubs(6), 3000):
+            self.assert_as_form_built(P, rng)
+
+    def test_mixed_labels(self):
+        rng = random.Random(23)
+        for n in range(1, 6):
+            for P in all_shrubs(n)[:: 3 if n == 5 else 1]:
+                labels = rng.sample(MIXED_TEXT_LABELS, n)
+                self.assert_as_form_built(P.relabel(dict(zip(P.labels, labels))), rng)
+
+    # writing order: numerator first, then factors in sort_key order; in the
+    # last shrub the roots "a b" and "zz" form the numerator factor, so "a b"
+    # is named although -3 sorts first
+    @pytest.mark.parametrize(
+        "P, named",
+        [
+            (graft_generator(-3, "x"), -3),
+            (graft_generator("x", "10"), "10"),
+            (pair_generator("a b", "10"), "10"),
+            (pair_generator(-3, "a b"), -3),
+            (
+                Shrub(
+                    ["a b", "zz", -3, 5],
+                    {"a b": 0, "zz": 0, -3: 1, 5: 1},
+                    [("a b", -3), ("a b", 5), ("zz", -3), ("zz", 5)],
+                ),
+                "a b",
+            ),
+        ],
+    )
+    def test_labels_the_text_cannot_carry(self, P, named):
+        f, g = fraction_of_shrub(P), form_built(fraction_of_shrub(P))
+        got = text_outcome(format_fraction, f)
+        assert got == text_outcome(format_fraction, g) == text_outcome(oracle_format_fraction, g)
+        assert got[0] is ValueError
+        assert got[1].startswith(f"label {named!r} cannot be written in fraction text")
+        assert repr(fraction_of_shrub(P)) == repr(g)
+
+    def test_bad_labels_in_every_shrub_up_to_four(self):
+        rng = random.Random(24)
+        pool = (1, 2, -3, "10", "a b", "ok")
+        for n in range(1, 5):
+            for P in all_shrubs(n):
+                P = P.relabel(dict(zip(P.labels, rng.sample(pool, n))))
+                g = form_built(fraction_of_shrub(P))
+                assert text_outcome(format_fraction, fraction_of_shrub(P)) == text_outcome(
+                    oracle_format_fraction, g
+                )
+
+    def test_parsed_text_keeps_the_record(self):
+        rng = random.Random(25)
+        shrubs = [P for n in range(1, 6) for P in all_shrubs(n)]
+        shrubs += [P.relabel(dict(zip(P.labels, rng.sample(MIXED_TEXT_LABELS, len(P))))) for P in shrubs]
+        for P in shrubs:
+            text = format_fraction(fraction_of_shrub(P))
+            f = parse_fraction(text)
+            assert f._masks == _record(form_built(f)) == fraction_of_shrub(P)._masks
+            assert format_fraction(f) == text
 
 
 class TestEmbedding:

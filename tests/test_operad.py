@@ -22,7 +22,7 @@ from shrubs import (
 )
 from shrubs.checks import all_shrubs, random_shrub
 
-from oracles import oracle_decompose, oracle_evaluate
+from oracles import dataclass_repr, oracle_decompose, oracle_evaluate
 from properties import holds
 
 
@@ -204,6 +204,13 @@ class TestDecomposeAgainstOracle:
         assert word == again and hash(word) == hash(again)
         assert word != decompose(P.relabel({4999: 5000}))
         assert sorted(word.leaf_labels()) == list(P.labels)
+        assert repr(word) == dataclass_repr(word)
+
+    def test_repr_as_the_dataclass_repr(self):
+        for n in range(1, 5):
+            for P in all_shrubs(n):
+                word = decompose(P)
+                assert repr(word) == dataclass_repr(word)
 
 
 @st.composite
@@ -273,6 +280,12 @@ def test_equality_hash_and_leaves_as_the_recursive_definitions(a, b, same):
         assert hash(a) == hash(b)
     got, want = outcome(GenWord.leaf_labels, a), outcome(recursive_leaf_labels, a)
     assert got[0] == want[0] and (got[0] != "ok" or got == want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words())
+def test_repr_of_any_word_as_the_dataclass_repr(word):
+    assert repr(word) == dataclass_repr(word)
 
 
 class TestGeneratorEnumeration:
