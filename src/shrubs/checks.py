@@ -45,6 +45,7 @@ from .mould import (
     kappa,
     mould_compose,
     shrub_fraction_factors,
+    shrub_masks,
     zinb_extract,
 )
 from .operad import (
@@ -56,7 +57,7 @@ from .operad import (
     graft_generator,
     pair_generator,
 )
-from .reconstruction import reconstruct
+from .reconstruction import _read_parts, reconstruct
 from .series_parallel import count_series_parallel, count_unlabeled_series_parallel
 from .zinbiel import ZinbElement, compatible_orders, gamma, zinb_compose
 
@@ -593,6 +594,19 @@ def reconstruction_bruteforce(max_n, seed):
             if reconstruct(f) != P:
                 return False, f"brute-force oracle disagrees at {P!r}"
     return True, f"n<={max_n}"
+
+
+@_register("reconstruction/direct-reading", _up_to(6))
+def direct_reading(max_n, seed):
+    """The two factor-count rules of the direct reading give the heights and
+    cover masks of every shrub: a label's height is its denominator count
+    minus its numerator count minus 1, and a vertex covers what the
+    denominator factors containing it share on the level below."""
+    for P in _all_upto(max_n):
+        num, den = shrub_masks(P)
+        if _read_parts(num, den, len(P)) != (P._heights, P._covers):
+            return False, f"direct reading fails at {P!r}"
+    return True, f"all shrubs n<={max_n}"
 
 
 @_register("reconstruction/larger-random", lambda max_n: 7)

@@ -236,6 +236,11 @@ class Shrub:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # no cached hash in the pickle: a str label hashes differently in
+        # another process, so the loading process computes its own
+        return Shrub._from_parts, (self.labels, self._heights, self._covers)
+
     def __repr__(self):
         hs = ", ".join(f"{v!r}:{h}" for v, h in zip(self.labels, self._heights))
         es = ", ".join(f"{a!r}-{b!r}" for a, b in self.edges)

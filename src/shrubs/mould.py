@@ -272,6 +272,10 @@ class LinearForm:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # no cached hash in the pickle (see ``Shrub.__reduce__``)
+        return LinearForm, (self.terms,)
+
     def __repr__(self):
         return f"LinearForm({_form_text(self)})"
 
@@ -385,6 +389,13 @@ class FactoredFraction:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # no cached hash in the pickle (see ``Shrub.__reduce__``); a mask
+        # record stays one, its forms and hash built on first read
+        if self._masks is not None:
+            return FactoredFraction._of_masks, self._masks
+        return FactoredFraction, (self.sign, self.scalar, self.num, self.den)
 
     def sort_key(self):
         return (

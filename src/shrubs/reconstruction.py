@@ -2,16 +2,30 @@
 
 The fraction of a shrub determines it completely.  Reconstruction works on
 label masks (see :func:`shrub_masks`): the fraction is converted once, and
-every step after that is integer arithmetic.  It splits the labels into
-connected pieces read off the denominator masks, finds the roots (height 0)
-of each piece by counting, per label, the factors that involve it, and then
+every step after that is integer arithmetic.
+
+The closed formula has one upper-ideal denominator factor per vertex and
+one factor on each side per ramification class, so a shrub is read straight
+off the factors that contain each label, in one pass for heights and one
+for covers:
+
+* the height of ``i`` is the number of denominator factors containing ``i``,
+  minus the number of numerator factors containing ``i``, minus 1;
+* a vertex ``v`` at height ``h > 0`` covers the intersection of ``m & L``
+  over the denominator factors ``m`` that contain ``v`` and meet ``L``, the
+  labels at height ``h - 1``.
+
+That reading is taken only when the total degree is minus the number of
+labels, at most ``cap`` of them, and its result counts only once it is a
+shrub (no forbidden pattern) whose masks reproduce the fraction.  Any other
+fraction goes to the recursive builder, which names the fault: it splits
+the labels into connected pieces read off the denominator masks, finds the
+roots (height 0) of each piece by counting (see :func:`_roots`), and
 recurses: a single root strips the full-sum factor; several roots locate
 the unique numerator factor containing them all, whose complement is the
-grafted upper part.  Grafts and disjoint unions are updates of one height
-array and one cover array, and the shrub is built once at the end.  No
-compatible order is enumerated, so the work is polynomial in the number of
-labels.  Every step validates its bookkeeping and the result is checked
-against the closed formula, so a fraction outside the image always raises
+grafted upper part.  No compatible order is enumerated, so the work is
+polynomial in the number of labels.  Both results are checked against the
+closed formula, so a fraction outside the image always raises
 ``NotInImage``.
 """
 
@@ -19,7 +33,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import Shrub, _bits, label_key
+from .core import Shrub, _bits, _find_pattern, label_key
 from .errors import CapExceeded, NotInImage
 from .mould import FactoredFraction, _form_text, shrub_masks
 
@@ -63,9 +77,11 @@ def fraction_components(f: FactoredFraction) -> tuple:
 def recover_heights(f: FactoredFraction, labels=None, cap: int = DEFAULT_CAP) -> dict:
     """Height map of the underlying shrub.
 
-    Read off the certified reconstruction, whose roots come from factor
-    counts at every level (see :func:`_roots`); no order is enumerated.
-    ``labels`` must be the labels of ``f``.
+    Read off the certified reconstruction: the height of a label is the
+    number of denominator factors containing it, minus the number of
+    numerator factors containing it, minus 1 (the builder's :func:`_roots`
+    is the case of height 0); no order is enumerated.  ``labels`` must be
+    the labels of ``f``.
     """
     labels = frozenset(f.labels if labels is None else labels)
     if len(labels) > cap:
@@ -252,13 +268,49 @@ class _Builder:
         self.graft(low, high)
 
 
-# Bounded, so that a long stream of distinct fractions cannot grow memory
-# without limit.  1024 still holds one whole orbit at the default orbit cap 5
-# (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
-@functools.lru_cache(maxsize=1024)
-def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
-    """The shrub of a ``(labels, num masks, den masks)`` record (sign +1,
-    scalar 1), certified by comparing its own masks with the record's."""
+def _read_parts(num, den, n) -> tuple | None:
+    """``(heights, covers)`` read straight off the factor masks of a
+    fraction on ``n`` labels, or ``None`` when a height is negative or not
+    below ``n``, or a positive-height vertex gets no cover.  On the masks of
+    a shrub this is the shrub's own heights and cover masks; on others it
+    need not be a shrub."""
+    heights = [-1] * n
+    for m in den:
+        while m:
+            low = m & -m
+            heights[low.bit_length() - 1] += 1
+            m ^= low
+    for m in num:
+        while m:
+            low = m & -m
+            heights[low.bit_length() - 1] -= 1
+            m ^= low
+    levels = [0] * n
+    for i, h in enumerate(heights):
+        if not 0 <= h < n:
+            return None
+        levels[h] |= 1 << i
+    # -1 has every bit set: the cover of a vertex no factor has narrowed yet
+    covers = [-1 if h else 0 for h in heights]
+    for m in den:
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            h = heights[i]
+            if h:
+                below = m & levels[h - 1]
+                if below:
+                    covers[i] &= below
+    if -1 in covers:
+        return None
+    return tuple(heights), tuple(covers)
+
+
+def _by_builder(record: tuple, cap: int) -> Shrub:
+    """The builder's shrub of a record, certified; it names the fault of a
+    record outside the image."""
     labels, num, den = record
     builder = _Builder(labels, cap)
     builder.rebuild(list(num), list(den), (1 << len(labels)) - 1)
@@ -266,6 +318,28 @@ def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
     if shrub_masks(shrub) != (num, den):
         raise NotInImage("the rebuilt shrub does not reproduce the fraction")
     return shrub
+
+
+# Bounded, so that a long stream of distinct fractions cannot grow memory
+# without limit.  1024 still holds one whole orbit at the default orbit cap 5
+# (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
+@functools.lru_cache(maxsize=1024)
+def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
+    """The shrub of a ``(labels, num masks, den masks)`` record (sign +1,
+    scalar 1), certified by comparing its own masks with the record's.
+
+    A record of degree ``-n`` on ``n <= cap`` labels is read directly
+    (:func:`_read_parts`); any other, or one whose reading is not a shrub
+    with these masks, goes to the builder (:func:`_by_builder`)."""
+    labels, num, den = record
+    n = len(labels)
+    if 0 < n <= cap and len(den) - len(num) == n:
+        parts = _read_parts(num, den, n)
+        if parts is not None and _find_pattern(parts[1]) is None:
+            shrub = Shrub._from_parts(labels, *parts)
+            if shrub_masks(shrub) == (num, den):
+                return shrub
+    return _by_builder(record, cap)
 
 
 def reconstruct(f: FactoredFraction, cap: int = DEFAULT_CAP) -> Shrub:

@@ -9,7 +9,9 @@ import pytest
 
 import shrubs
 from shrubs import (
+    FactoredFraction,
     HeightJump,
+    LinearForm,
     SignedShrub,
     Shrub,
     fraction_of_shrub,
@@ -364,8 +366,21 @@ class TestMalformedInput:
         self.check_recursion_error(*run(capsys, "decompose", str(path)))
 
     def test_reconstruct_long_chain(self, capsys, monkeypatch, tmp_path):
+        # a shrub fraction is read directly, so 100 frames suffice for 150 levels
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(fraction_of_shrub(chain(150))))
+        code, out, err = self.run_limited(
+            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
+        )
+        assert (code, out, err) == (0, chain(150).to_json() + "\n", "")
+
+    def test_reconstruct_long_chain_one_factor_too_many(self, capsys, monkeypatch, tmp_path):
+        # the wrong degree sends it to the recursive builder, which peels the
+        # chain down to its top before it meets the extra factor
+        f = fraction_of_shrub(chain(150))
+        extra = LinearForm.sum_of((149, 150))
+        path = tmp_path / "frac.txt"
+        path.write_text(format_fraction(FactoredFraction(f.sign, f.scalar, f.num, f.den + (extra,))))
         self.check_recursion_error(
             *self.run_limited(
                 capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"

@@ -1,10 +1,15 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import shrubs
 from shrubs import (
     FactoredFraction,
     LinearForm,
@@ -303,6 +308,42 @@ class TestMaskBackedFraction:
             f = parse_fraction(text)
             assert f._masks == _record(form_built(f)) == fraction_of_shrub(P)._masks
             assert format_fraction(f) == text
+
+
+# built alike in two processes: a shrub on str labels, its mask-backed
+# fraction with its hash built, the same fraction built from its forms, and
+# a linear form
+PICKLED = """
+import pickle, sys
+from shrubs import FactoredFraction, LinearForm, fraction_of_shrub, graft_generator
+P = graft_generator("a", "b")
+f = fraction_of_shrub(P)
+hash(f)
+values = [P, f, FactoredFraction(f.sign, f.scalar, f.num, f.den), LinearForm.sum_of("ab")]
+"""
+
+
+def test_pickles_hash_in_the_loading_process():
+    # a str label hashes differently under another hash seed, so a pickled
+    # cached hash would not find the value in the loading process's sets
+    src = str(Path(shrubs.__file__).resolve().parents[1])
+
+    def run(code, seed, stdin=""):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", PICKLED + code], input=stdin, capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    dumped = run("sys.stdout.write(pickle.dumps(values).hex())", "1")
+    loaded = run(
+        "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "print([x == y and x in {y} for x, y in zip(loaded, values)], loaded[1]._masks == f._masks)",
+        "2",
+        dumped,
+    )
+    assert loaded == "[True, True, True, True] True\n"
 
 
 class TestEmbedding:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrubs import (
+    CapExceeded,
     FactoredFraction,
     LinearForm,
     NotInImage,
@@ -22,7 +23,10 @@ from shrubs import (
     recover_heights,
     trivial_shrub,
 )
+from shrubs import reconstruction
 from shrubs.checks import all_shrubs, random_shrub
+from shrubs.mould import shrub_masks
+from shrubs.reconstruction import _by_builder, _read_parts, _record, _Weighted
 
 from oracles import oracle_components, oracle_reconstruct, outcome
 from properties import holds
@@ -134,6 +138,7 @@ class TestReconstruct:
                 for g in variants(fraction_of_shrub(P), P.labels):
                     got = outcome(reconstruct, g, n)
                     assert got == outcome(oracle_reconstruct, g, n)
+                    assert got == outcome(_by_builder, _record(g), n)
                     if got[0] == "ok":
                         Q = got[1]
                         assert fraction_of_shrub(Q) == g
@@ -153,6 +158,100 @@ class TestReconstruct:
         )
         with pytest.raises(NotInImage):
             reconstruct(f)
+
+
+# -- the direct reading against the builder ------------------------------------
+
+# the cached entry point, with the direct reading in front of the builder
+checked = reconstruction._reconstruct_checked.__wrapped__
+
+
+class TestDirectReading:
+    """The direct reading gives the builder's outcome on every record: the
+    same shrub, or the same exception class and message."""
+
+    @pytest.fixture
+    def direct_only(self, monkeypatch):
+        """``checked``, failing if the record reaches the builder."""
+
+        def refuse(record, cap):
+            raise AssertionError(f"the builder was asked for {record!r}")
+
+        monkeypatch.setattr(reconstruction, "_by_builder", refuse)
+        return checked
+
+    def assert_read_directly(self, direct_only, P):
+        record = fraction_of_shrub(P)._masks
+        assert direct_only(record, len(P)) == P
+        assert _by_builder(record, len(P)) == P
+
+    def test_every_shrub_up_to_five(self, direct_only):
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                self.assert_read_directly(direct_only, P)
+
+    def test_seeded_larger_shrubs(self, direct_only):
+        rng = random.Random(31)
+        for n in (6, 7, 8):
+            for _ in range(300):
+                self.assert_read_directly(direct_only, random_shrub(range(1, n + 1), rng))
+
+    def test_mixed_labels(self, direct_only):
+        rng = random.Random(32)
+        labels = [0, 7, -3, "a", "b"]
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                rng.shuffle(labels)
+                self.assert_read_directly(direct_only, P.relabel(dict(zip(P.labels, labels))))
+
+    def test_long_chain(self, direct_only):
+        # the builder would recurse about 2,000 frames deep here
+        P = Shrub(range(1000), {v: v for v in range(1000)}, [(v, v + 1) for v in range(999)])
+        assert direct_only(fraction_of_shrub(P)._masks, 1000) == P
+
+    @staticmethod
+    def same_outcome(record, cap):
+        got = outcome(checked, record, cap)
+        assert got == outcome(_by_builder, record, cap)
+        return got
+
+    def test_weighted_factor(self):
+        # right degree, and read as the edge 2 - 1; the factor u1+2*u2 only
+        # counts by its support, and the certificate refuses it
+        f = parse_fraction("1/((u1)(u1+2*u2))")
+        record = _record(f)
+        assert isinstance(record[2][1], _Weighted)
+        assert _read_parts(record[1], record[2], 2) == ((1, 0), (2, 0))
+        assert self.same_outcome(record, 6)[0] is NotInImage
+
+    def test_empty_fraction(self):
+        record = _record(FactoredFraction.one())
+        assert record == ((), (), ())
+        assert self.same_outcome(record, 6) == (NotInImage, "no labels to reconstruct from")
+
+    def test_more_labels_than_cap(self):
+        chain = fraction_of_shrub(Shrub(range(7), {v: v for v in range(7)}, [(v, v + 1) for v in range(6)]))
+        assert self.same_outcome(chain._masks, 6)[0] is CapExceeded
+        # a forest whose pieces fit under the cap is rebuilt by the builder
+        points = Shrub(range(7), {v: 0 for v in range(7)}, [])
+        assert self.same_outcome(fraction_of_shrub(points)._masks, 6) == ("ok", points)
+
+    def test_right_degree_but_not_a_shrub(self):
+        # 4 covers {1, 2} and 5 covers {1, 3}: an F5, whose own masks the
+        # reading gives back, certificate and all; only the pattern check
+        # keeps it from being returned as a shrub
+        f = parse_fraction("(u1+u2)(u1+u3)/((u1)(u2)(u3)(u4)(u5)(u1+u2+u4)(u1+u3+u5))")
+        labels, num, den = record = _record(f)
+        heights, covers = _read_parts(num, den, 5)
+        assert (heights, covers) == ((0, 0, 0, 1, 1), (0, 0, 0, 0b011, 0b101))
+
+        class Unchecked:  # shrub_masks reads only these
+            pass
+
+        S = Unchecked()
+        S.labels, S._heights, S._covers = labels, heights, covers
+        assert shrub_masks(S) == (num, den)
+        assert self.same_outcome(record, 6)[0] is NotInImage
 
 
 # -- fuzzing against the linear-form oracle -------------------------------------
@@ -202,6 +301,8 @@ def test_reconstruct_matches_oracle_on_random_fractions(f):
     for cap in (4, 6):
         got = outcome(reconstruct, f, cap)
         assert got == outcome(oracle_reconstruct, f, cap)
+        if f.sign == 1 and f.scalar == 1:
+            assert got == outcome(_by_builder, _record(f), cap)
 
 
 @settings(max_examples=200, deadline=None)
