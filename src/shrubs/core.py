@@ -105,7 +105,11 @@ def _find_pattern(covers):
     for w in range(n):
         cw = covers[w]
         if cw & (cw - 1):
-            for x, y in itertools.combinations(list(_bits(cw)), 2):
+            # a differing pair exists exactly when some vertex differs from
+            # the first, and the first such pair is also first in pair order
+            rest = _bits(cw)
+            x = next(rest)
+            for y in rest:
                 if covers[x] != covers[y]:
                     diff = covers[y] & ~covers[x]
                     if not diff:

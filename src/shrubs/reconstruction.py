@@ -15,18 +15,16 @@ for covers:
   over the denominator factors ``m`` that contain ``v`` and meet ``L``, the
   labels at height ``h - 1``.
 
-That reading is taken only when the total degree is minus the number of
-labels, at most ``cap`` of them, and its result counts only once it is a
-shrub (no forbidden pattern) whose masks reproduce the fraction.  Any other
-fraction goes to the recursive builder, which names the fault: it splits
-the labels into connected pieces read off the denominator masks, finds the
-roots (height 0) of each piece by counting (see :func:`_roots`), and
-recurses: a single root strips the full-sum factor; several roots locate
-the unique numerator factor containing them all, whose complement is the
-grafted upper part.  No compatible order is enumerated, so the work is
-polynomial in the number of labels.  Both results are checked against the
-closed formula, so a fraction outside the image always raises
-``NotInImage``.
+That reading is taken whenever the total degree is minus the number of
+labels, and its result counts only once it is a shrub (no forbidden
+pattern) whose masks reproduce the fraction.  A fraction that reading
+refuses, or one on more than ``cap`` labels, goes to a walk that names the
+fault without building anything (see :func:`_name_fault`): it splits the
+labels into connected pieces, finds the roots of each piece by counting
+(see :func:`_roots`), and strips or splits, on an explicit stack.  No
+compatible order is enumerated and nothing recurses, so the work is
+polynomial in the number of labels.  A fraction outside the image always
+raises ``NotInImage``.
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ def recover_heights(f: FactoredFraction, labels=None, cap: int = DEFAULT_CAP) ->
 
     Read off the certified reconstruction: the height of a label is the
     number of denominator factors containing it, minus the number of
-    numerator factors containing it, minus 1 (the builder's :func:`_roots`
-    is the case of height 0); no order is enumerated.  ``labels`` must be
+    numerator factors containing it, minus 1 (:func:`_roots` is the case
+    of height 0); no order is enumerated.  ``labels`` must be
     the labels of ``f``.
     """
     labels = frozenset(f.labels if labels is None else labels)
@@ -192,53 +190,41 @@ def _split(masks, q, r, labels):
     return in_q, in_r
 
 
-class _Builder:
-    """Heights and cover masks of the shrub being rebuilt, over all labels.
+def _name_fault(record: tuple, cap: int) -> None:
+    """Raise the first fault of a record, or return ``None`` if it has none.
 
-    Each piece is rebuilt with its roots at height 0; a graft raises the
-    upper piece by one and joins its roots to the roots of the lower one.
+    The labels are split into connected pieces read off the denominator
+    masks, and each piece's roots (height 0) are found by counting (see
+    :func:`_roots`): a single root strips the full-sum factor; several
+    roots locate the unique numerator factor containing them all, whose
+    complement is the upper part of a graft.  Pieces are visited with an
+    explicit stack, lower before upper and components by least label, and
+    nothing is built.  A connected piece of more than ``cap`` labels raises
+    ``CapExceeded``.
     """
-
-    def __init__(self, labels, cap):
-        self.labels = labels
-        self.cap = cap
-        self.heights = [0] * len(labels)
-        self.covers = [0] * len(labels)
-
-    def graft(self, low, high):
-        heights, covers = self.heights, self.covers
-        low_roots = 0
-        for i in _bits(low):
-            if not heights[i]:
-                low_roots |= 1 << i
-        for i in _bits(high):
-            if not heights[i]:
-                covers[i] |= low_roots
-            heights[i] += 1
-
-    def rebuild(self, num, den, part):
+    labels = record[0]
+    stack = [(list(record[1]), list(record[2]), (1 << len(labels)) - 1)]
+    while stack:
+        num, den, part = stack.pop()
         if not part:
             raise NotInImage("no labels to reconstruct from")
         if _support(num, den) != part:
             raise NotInImage("some label appears in no denominator factor")
         parts = _components(den, part) if part & (part - 1) else [part]
-        if len(parts) == 1:
-            return self.rebuild_connected(num, den, part)
-        straddling = [m for m in num if not any(not m & ~p for p in parts)]
-        if straddling:
-            raise NotInImage(f"factor {_first_text(self.labels, straddling)} straddles components")
-        for p in parts:
-            self.rebuild([m for m in num if m & p], [m for m in den if m & p], p)
-
-    def rebuild_connected(self, num, den, part):
-        labels = self.labels
+        if len(parts) > 1:
+            straddling = [m for m in num if not any(not m & ~p for p in parts)]
+            if straddling:
+                raise NotInImage(f"factor {_first_text(labels, straddling)} straddles components")
+            for p in reversed(parts):
+                stack.append(([m for m in num if m & p], [m for m in den if m & p], p))
+            continue
         if not part & (part - 1):
             if num or den != [part]:
                 raise NotInImage("a single-vertex fraction must be 1/u")
-            return
+            continue
         size = part.bit_count()
-        if size > self.cap:
-            raise CapExceeded(f"{size} labels exceed the extraction cap {self.cap}")
+        if size > cap:
+            raise CapExceeded(f"{size} labels exceed the extraction cap {cap}")
         roots = _roots(num, den, part, labels)
         if part not in den:
             raise NotInImage("a connected fraction needs the full-sum denominator factor")
@@ -248,9 +234,8 @@ class _Builder:
             if _support(num, den) & roots:
                 root = labels[roots.bit_length() - 1]
                 raise NotInImage(f"u{root} survives after stripping the root factor")
-            self.rebuild(num, den, part ^ roots)
-            self.graft(roots, part ^ roots)
-            return
+            stack.append((num, den, part ^ roots))
+            continue
         candidates = [k for k, m in enumerate(num) if not roots & ~m]
         if len(candidates) != 1:
             raise NotInImage(
@@ -263,9 +248,8 @@ class _Builder:
             raise NotInImage("the graft numerator factor must miss some label")
         num_low, num_high = _split(num[:k] + num[k + 1 :], low, high, labels)
         den_low, den_high = _split(den, low, high, labels)
-        self.rebuild(num_low, den_low, low)
-        self.rebuild(num_high, den_high, high)
-        self.graft(low, high)
+        stack.append((num_high, den_high, high))
+        stack.append((num_low, den_low, low))
 
 
 def _read_parts(num, den, n) -> tuple | None:
@@ -308,18 +292,6 @@ def _read_parts(num, den, n) -> tuple | None:
     return tuple(heights), tuple(covers)
 
 
-def _by_builder(record: tuple, cap: int) -> Shrub:
-    """The builder's shrub of a record, certified; it names the fault of a
-    record outside the image."""
-    labels, num, den = record
-    builder = _Builder(labels, cap)
-    builder.rebuild(list(num), list(den), (1 << len(labels)) - 1)
-    shrub = Shrub._from_parts(labels, tuple(builder.heights), tuple(builder.covers))
-    if shrub_masks(shrub) != (num, den):
-        raise NotInImage("the rebuilt shrub does not reproduce the fraction")
-    return shrub
-
-
 # Bounded, so that a long stream of distinct fractions cannot grow memory
 # without limit.  1024 still holds one whole orbit at the default orbit cap 5
 # (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
@@ -328,18 +300,27 @@ def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
     """The shrub of a ``(labels, num masks, den masks)`` record (sign +1,
     scalar 1), certified by comparing its own masks with the record's.
 
-    A record of degree ``-n`` on ``n <= cap`` labels is read directly
-    (:func:`_read_parts`); any other, or one whose reading is not a shrub
-    with these masks, goes to the builder (:func:`_by_builder`)."""
+    A record of degree ``-n`` on ``n > 0`` labels is read directly
+    (:func:`_read_parts`).  When that reading is not a shrub with these
+    masks, or ``n > cap``, :func:`_name_fault` looks for the fault.  A
+    record the walk passes describes a union/graft closure of single
+    vertices, which is a shrub; it has the record's masks exactly when the
+    reading certifies, so a refused record without a fault still raises
+    ``NotInImage``."""
     labels, num, den = record
     n = len(labels)
-    if 0 < n <= cap and len(den) - len(num) == n:
+    shrub = None
+    if n and len(den) - len(num) == n:
         parts = _read_parts(num, den, n)
         if parts is not None and _find_pattern(parts[1]) is None:
             shrub = Shrub._from_parts(labels, *parts)
-            if shrub_masks(shrub) == (num, den):
-                return shrub
-    return _by_builder(record, cap)
+            if shrub_masks(shrub) != (num, den):
+                shrub = None
+    if shrub is None or n > cap:
+        _name_fault(record, cap)
+        if shrub is None:
+            raise NotInImage("the rebuilt shrub does not reproduce the fraction")
+    return shrub
 
 
 def reconstruct(f: FactoredFraction, cap: int = DEFAULT_CAP) -> Shrub:

@@ -375,17 +375,16 @@ class TestMalformedInput:
         assert (code, out, err) == (0, chain(150).to_json() + "\n", "")
 
     def test_reconstruct_long_chain_one_factor_too_many(self, capsys, monkeypatch, tmp_path):
-        # the wrong degree sends it to the recursive builder, which peels the
-        # chain down to its top before it meets the extra factor
+        # the wrong degree sends it to the fault walk, which peels the chain
+        # down to its top, with no recursion, before it meets the extra factor
         f = fraction_of_shrub(chain(150))
         extra = LinearForm.sum_of((149, 150))
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(FactoredFraction(f.sign, f.scalar, f.num, f.den + (extra,))))
-        self.check_recursion_error(
-            *self.run_limited(
-                capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
-            )
+        code, out, err = self.run_limited(
+            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
         )
+        assert (code, out, err) == (1, "", "NotInImage: no label can start a compatible order\n")
 
 
 # the public names of ``shrubs``, by defining module

@@ -88,6 +88,15 @@ class TestValidation:
                 below = [t for t, g in enumerate(heights) if g == h - 1]
                 covers.append(sum(1 << t for t in below if rng.random() < 0.6))
             assert _find_pattern(covers) == first_pattern_by_pairs(covers), covers
+        # complete bipartite K(30, 30): each top vertex covers 30 equal covers;
+        # then the last bottom vertex gets a vertex below it, an F4 whose
+        # first differing pair is (first, last)
+        m = 30
+        covers = [0] * m + [(1 << m) - 1] * m
+        assert _find_pattern(covers) is None
+        covers.append(0)
+        covers[m - 1] = 1 << 2 * m
+        assert _find_pattern(covers) == first_pattern_by_pairs(covers) == ("F4", (m, 0, m - 1, 2 * m))
 
     def test_pattern_check_matches_naive_scan(self):
         # small exhaustive sweep of all height-axiom graphs, n <= 5
@@ -100,6 +109,16 @@ class TestValidation:
                     fast_ok = False
                 naive = naive_forbidden_pattern(_raw(hmap, edges))
                 assert fast_ok == (naive is None), (hmap, edges, naive)
+        # complete bipartite K(4, 4), then with two edges gone (an F5)
+        hmap = {v: int(v > 4) for v in range(1, 9)}
+        full = [(b, t) for b in (1, 2, 3, 4) for t in (5, 6, 7, 8)]
+        for edges in (full, [e for e in full if e not in ((1, 5), (2, 6))]):
+            try:
+                Shrub(list(hmap), hmap, edges)
+                fast_ok = True
+            except ForbiddenPattern:
+                fast_ok = False
+            assert fast_ok == (naive_forbidden_pattern(_raw(hmap, edges)) is None) == (edges is full)
 
     def test_naive_scan_clean_on_sampled_six_vertex_shrubs(self):
         rng = random.Random(3)

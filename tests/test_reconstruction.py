@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,10 +27,11 @@ from shrubs import (
 from shrubs import reconstruction
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.mould import shrub_masks
-from shrubs.reconstruction import _by_builder, _read_parts, _record, _Weighted
+from shrubs.reconstruction import _name_fault, _read_parts, _record, _Weighted
 
 from oracles import oracle_components, oracle_reconstruct, outcome
 from properties import holds
+from test_cli import stack_depth
 
 FIG2_TEXT = (
     "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
@@ -138,7 +140,6 @@ class TestReconstruct:
                 for g in variants(fraction_of_shrub(P), P.labels):
                     got = outcome(reconstruct, g, n)
                     assert got == outcome(oracle_reconstruct, g, n)
-                    assert got == outcome(_by_builder, _record(g), n)
                     if got[0] == "ok":
                         Q = got[1]
                         assert fraction_of_shrub(Q) == g
@@ -160,30 +161,31 @@ class TestReconstruct:
             reconstruct(f)
 
 
-# -- the direct reading against the builder ------------------------------------
+# -- the direct reading and the fault walk --------------------------------------
 
-# the cached entry point, with the direct reading in front of the builder
+# the cached entry point, with the direct reading in front of the fault walk
 checked = reconstruction._reconstruct_checked.__wrapped__
 
 
 class TestDirectReading:
-    """The direct reading gives the builder's outcome on every record: the
-    same shrub, or the same exception class and message."""
+    """The direct reading returns every shrub without the fault walk, and
+    every record gets the linear-form oracle's outcome: the same shrub, or
+    the same exception class and message."""
 
     @pytest.fixture
     def direct_only(self, monkeypatch):
-        """``checked``, failing if the record reaches the builder."""
+        """``checked``, failing if the record reaches the fault walk."""
 
         def refuse(record, cap):
-            raise AssertionError(f"the builder was asked for {record!r}")
+            raise AssertionError(f"the fault walk was asked for {record!r}")
 
-        monkeypatch.setattr(reconstruction, "_by_builder", refuse)
+        monkeypatch.setattr(reconstruction, "_name_fault", refuse)
         return checked
 
     def assert_read_directly(self, direct_only, P):
         record = fraction_of_shrub(P)._masks
         assert direct_only(record, len(P)) == P
-        assert _by_builder(record, len(P)) == P
+        assert _name_fault(record, len(P)) is None
 
     def test_every_shrub_up_to_five(self, direct_only):
         for n in range(1, 6):
@@ -205,14 +207,27 @@ class TestDirectReading:
                 self.assert_read_directly(direct_only, P.relabel(dict(zip(P.labels, labels))))
 
     def test_long_chain(self, direct_only):
-        # the builder would recurse about 2,000 frames deep here
         P = Shrub(range(1000), {v: v for v in range(1000)}, [(v, v + 1) for v in range(999)])
         assert direct_only(fraction_of_shrub(P)._masks, 1000) == P
 
+    def test_refused_long_chain(self):
+        # the fault walk keeps no frame per level: one factor too many on a
+        # 300-vertex chain is refused with 30 frames to spare
+        P = Shrub(range(300), {v: v for v in range(300)}, [(v, v + 1) for v in range(299)])
+        f = fraction_of_shrub(P)
+        record = _record(FactoredFraction(f.sign, f.scalar, f.num, f.den + (LinearForm.sum_of((298, 299)),)))
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 30)
+        try:
+            with pytest.raises(NotInImage, match="^no label can start a compatible order$"):
+                checked(record, 300)
+        finally:
+            sys.setrecursionlimit(saved)
+
     @staticmethod
-    def same_outcome(record, cap):
-        got = outcome(checked, record, cap)
-        assert got == outcome(_by_builder, record, cap)
+    def same_outcome(f, cap):
+        got = outcome(checked, _record(f), cap)
+        assert got == outcome(oracle_reconstruct, f, cap)
         return got
 
     def test_weighted_factor(self):
@@ -222,26 +237,43 @@ class TestDirectReading:
         record = _record(f)
         assert isinstance(record[2][1], _Weighted)
         assert _read_parts(record[1], record[2], 2) == ((1, 0), (2, 0))
-        assert self.same_outcome(record, 6)[0] is NotInImage
+        assert self.same_outcome(f, 6)[0] is NotInImage
+        # a weighted graft factor counts by its support, so the walk finds
+        # no fault; the record is refused all the same
+        f = parse_fraction("(2*u1+u2)/((u1)(u2)(u3)(u1+u2+u3))")
+        assert _name_fault(_record(f), 6) is None
+        assert self.same_outcome(f, 6) == (NotInImage, "the rebuilt shrub does not reproduce the fraction")
+
+    def test_first_fault_in_walk_order(self):
+        # two faulty pieces: the component with the least label, and the
+        # lower part of a graft, are named first
+        for text, message in (
+            ("1/((u1+u3)(u1+u3)(u2)(u2)(u3))", "no label can start a compatible order"),
+            (
+                "(u1+u2+u3)/((u1+u2+u3+u4)(u1+u3)(u2)(u4)(u4))",
+                "0 numerator factors contain every height-0 vertex (need exactly 1)",
+            ),
+        ):
+            assert self.same_outcome(parse_fraction(text), 6) == (NotInImage, message)
 
     def test_empty_fraction(self):
-        record = _record(FactoredFraction.one())
-        assert record == ((), (), ())
-        assert self.same_outcome(record, 6) == (NotInImage, "no labels to reconstruct from")
+        f = FactoredFraction.one()
+        assert _record(f) == ((), (), ())
+        assert self.same_outcome(f, 6) == (NotInImage, "no labels to reconstruct from")
 
     def test_more_labels_than_cap(self):
         chain = fraction_of_shrub(Shrub(range(7), {v: v for v in range(7)}, [(v, v + 1) for v in range(6)]))
-        assert self.same_outcome(chain._masks, 6)[0] is CapExceeded
-        # a forest whose pieces fit under the cap is rebuilt by the builder
+        assert self.same_outcome(chain, 6)[0] is CapExceeded
+        # a forest whose pieces fit under the cap is returned
         points = Shrub(range(7), {v: 0 for v in range(7)}, [])
-        assert self.same_outcome(fraction_of_shrub(points)._masks, 6) == ("ok", points)
+        assert self.same_outcome(fraction_of_shrub(points), 6) == ("ok", points)
 
     def test_right_degree_but_not_a_shrub(self):
         # 4 covers {1, 2} and 5 covers {1, 3}: an F5, whose own masks the
         # reading gives back, certificate and all; only the pattern check
         # keeps it from being returned as a shrub
         f = parse_fraction("(u1+u2)(u1+u3)/((u1)(u2)(u3)(u4)(u5)(u1+u2+u4)(u1+u3+u5))")
-        labels, num, den = record = _record(f)
+        labels, num, den = _record(f)
         heights, covers = _read_parts(num, den, 5)
         assert (heights, covers) == ((0, 0, 0, 1, 1), (0, 0, 0, 0b011, 0b101))
 
@@ -251,7 +283,7 @@ class TestDirectReading:
         S = Unchecked()
         S.labels, S._heights, S._covers = labels, heights, covers
         assert shrub_masks(S) == (num, den)
-        assert self.same_outcome(record, 6)[0] is NotInImage
+        assert self.same_outcome(f, 6)[0] is NotInImage
 
 
 # -- fuzzing against the linear-form oracle -------------------------------------
@@ -301,8 +333,6 @@ def test_reconstruct_matches_oracle_on_random_fractions(f):
     for cap in (4, 6):
         got = outcome(reconstruct, f, cap)
         assert got == outcome(oracle_reconstruct, f, cap)
-        if f.sign == 1 and f.scalar == 1:
-            assert got == outcome(_by_builder, _record(f), cap)
 
 
 @settings(max_examples=200, deadline=None)
