@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from typing import Callable, NamedTuple
 
@@ -466,6 +467,77 @@ def forest_orders_are_linear_extensions(max_n, seed):
         if orders != exts:
             return False, f"orders differ from linear extensions on {P!r}"
     return True, f"all forests n<={max_n}"
+
+
+@_register("zinbiel/compatible-orders-bruteforce")
+def compatible_orders_bruteforce(max_n, seed):
+    """``compatible_orders`` equals, in order, every permutation filtered by
+    the rule (each vertex that covers something comes after one of the
+    vertices it covers); and on forests its count is the hook-length
+    formula n!/prod |subtree(v)|.  Neither side shares code with the
+    enumerator."""
+    for P in _all_upto(max_n):
+        below = {v: P.covers(v) for v in P.labels}
+        want = tuple(
+            perm
+            for perm in itertools.permutations(P.labels)
+            if all(not below[v] or not below[v].isdisjoint(perm[:k]) for k, v in enumerate(perm))
+        )
+        if compatible_orders(P) != want:
+            return False, f"compatible orders differ from the filtered permutations on {P!r}"
+    rng = random.Random(seed)
+    shapes = _forest_shapes(7)
+    for n in range(1, 8):
+        if len(shapes[n]) != _ROOTED_FORESTS[n]:
+            return False, f"{len(shapes[n])} forest shapes on {n} vertices, expected {_ROOTED_FORESTS[n]}"
+        for shape in shapes[n]:
+            P, sizes = _labelled_forest(shape, rng.sample(range(1, n + 1), n))
+            want = math.factorial(n) // math.prod(sizes)
+            got = len(compatible_orders(P))
+            if got != want:
+                return False, f"{P!r} has {got} orders, not the {want} of the hook-length formula"
+    return True, (
+        f"all shrubs n<={max_n} in order; one labelling of each of the "
+        f"{sum(map(len, shapes[1:]))} rooted forests n<=7 by hook length"
+    )
+
+
+_ROOTED_FORESTS = (1, 1, 2, 4, 9, 20, 48, 115)  # unlabeled, on n vertices (OEIS A000081, shifted)
+
+
+def _forest_shapes(n_max) -> list:
+    """Entry ``n`` holds every rooted forest on ``n`` unlabeled vertices,
+    once each, as the sorted tuple of its trees; a tree is the forest of its
+    root's children."""
+    shapes = [{()}]
+    for n in range(1, n_max + 1):
+        out = set()
+        for k in range(1, n + 1):  # one tree on k vertices, the rest on n - k
+            for tree in shapes[k - 1]:
+                for rest in shapes[n - k]:
+                    out.add(tuple(sorted(rest + (tree,))))
+        shapes.append(out)
+    return shapes
+
+
+def _labelled_forest(shape, labels):
+    """The forest of ``shape``, its vertices taking ``labels`` in pre-order,
+    and the size of the subtree of each vertex."""
+    labels = iter(labels)
+    heights, parent = {}, {}
+    stack = [(tree, None) for tree in shape]
+    while stack:
+        children, up = stack.pop()
+        v = next(labels)
+        heights[v] = 0 if up is None else heights[up] + 1
+        parent[v] = up
+        stack.extend((child, v) for child in children)
+    size = dict.fromkeys(heights, 1)
+    for v in sorted(heights, key=heights.get, reverse=True):
+        if parent[v] is not None:
+            size[parent[v]] += size[v]
+    edges = [(up, v) for v, up in parent.items() if up is not None]
+    return Shrub(list(heights), heights, edges), tuple(size.values())
 
 
 # -- mould --------------------------------------------------------------

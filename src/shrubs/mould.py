@@ -201,7 +201,7 @@ def _form_text(form) -> str:
 class LinearForm:
     """Primitive integer linear form with positive leading coefficient."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_key")
 
     def __init__(self, terms):
         terms = tuple(terms)
@@ -209,6 +209,7 @@ class LinearForm:
             raise ValueError("a linear form cannot be zero")
         self.terms = terms
         self._hash = hash(terms)
+        self._key = None
 
     @classmethod
     def normalize(cls, coeffs):
@@ -262,7 +263,9 @@ class LinearForm:
         return sum((Fraction(point[v]) * c for v, c in self.terms), Fraction(0))
 
     def sort_key(self):
-        return tuple((label_key(v), c) for v, c in self.terms)
+        if self._key is None:  # built once: fractions re-sort their forms on every product
+            self._key = tuple((label_key(v), c) for v, c in self.terms)
+        return self._key
 
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
@@ -712,7 +715,8 @@ def kappa(P: Shrub) -> FactoredFraction:
 
     Decomposes ``P`` into generator words and evaluates them through the
     generator images ``1/(ux*uy)`` and ``1/(uy*(ux+uy))`` using partial
-    composition; agrees factor-for-factor with :func:`fraction_of_shrub`.
+    composition, in post-order with an explicit stack; agrees
+    factor-for-factor with :func:`fraction_of_shrub`.
     """
     from .operad import decompose, fresh_slots
 
@@ -720,24 +724,24 @@ def kappa(P: Shrub) -> FactoredFraction:
     slots = fresh_slots(P.labels, 2)
     x, y = tuple(slots)
 
-    def ev(w):
+    c_gen = FactoredFraction(den=[LinearForm(((x, 1),)), LinearForm(((y, 1),))])
+    sx, sy = sorted((x, y), key=label_key)
+    d_gen = FactoredFraction(den=[LinearForm(((y, 1),)), LinearForm(((sx, 1), (sy, 1)))])
+    done = []  # (fraction, labels) of the finished arguments, left below right
+    stack = [(word, False)]
+    while stack:
+        w, args_done = stack.pop()
         if w.gen == "leaf":
-            return FactoredFraction(den=[LinearForm(((w.label, 1),))]), frozenset((w.label,))
-        left, left_labels = ev(w.args[0])
-        right, right_labels = ev(w.args[1])
-        if w.gen == "C":
-            gen = FactoredFraction(den=[LinearForm(((x, 1),)), LinearForm(((y, 1),))])
+            done.append((FactoredFraction(den=[LinearForm(((w.label, 1),))]), frozenset((w.label,))))
+        elif not args_done:
+            stack += ((w, True), (w.args[1], False), (w.args[0], False))
         else:
-            sx, sy = sorted((x, y), key=label_key)
-            gen = FactoredFraction(
-                den=[LinearForm(((y, 1),)), LinearForm(((sx, 1), (sy, 1)))]
-            )
-        out = gen.compose_at(x, left, left_labels)
-        out = out.compose_at(y, right, right_labels)
-        return out, left_labels | right_labels
-
-    result, _ = ev(word)
-    return result
+            right, right_labels = done.pop()
+            left, left_labels = done.pop()
+            gen = c_gen if w.gen == "C" else d_gen
+            out = gen.compose_at(x, left, left_labels).compose_at(y, right, right_labels)
+            done.append((out, left_labels | right_labels))
+    return done[0][0]
 
 
 # -- expansion and equality ---------------------------------------------------

@@ -180,26 +180,86 @@ class GenWord:
         return "".join(parts)
 
     def to_json_obj(self):
+        """The word as JSON values: a leaf is its label, a node the object
+        ``{"gen", "slot", "args"}``.  Built with an explicit stack."""
         if self.gen == "leaf":
             return self.label
-        return {"gen": self.gen, "slot": self.slot, "args": [a.to_json_obj() for a in self.args]}
+        top = {}
+        stack = [(self, top)]
+        while stack:
+            w, obj = stack.pop()
+            args = []
+            obj.update(gen=w.gen, slot=w.slot, args=args)
+            for a in _word_args(w):
+                if a.gen == "leaf":
+                    args.append(a.label)
+                else:
+                    args.append({})
+                    stack.append((a, args[-1]))
+        return top
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """``json.dumps(self.to_json_obj())``, written piece by piece with an
+        explicit stack, so deep words need no recursion; each label and slot
+        goes through ``json.dumps`` on its own."""
+        parts = []
+        stack = [self]
+        while stack:
+            w = stack.pop()
+            if type(w) is str:  # text; every argument is pushed as a word
+                parts.append(w)
+            elif w.gen == "leaf":
+                parts.append(json.dumps(w.label))
+            else:
+                parts.append(f'{{"gen": {json.dumps(w.gen)}, "slot": {json.dumps(w.slot)}, "args": [')
+                stack.append("]}")
+                args = _word_args(w)
+                for k in reversed(range(len(args))):
+                    stack.append(args[k])
+                    if k:
+                        stack.append(", ")
+        return "".join(parts)
 
     @classmethod
     def from_json_obj(cls, obj) -> "GenWord":
-        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-            return cls.leaf(obj)
-        if not isinstance(obj, dict):
-            raise MalformedWord(f"expected a label or an object, got {obj!r}")
-        gen = obj.get("gen")
-        if gen not in ("C", "D"):
-            raise MalformedWord(f"unknown generator {gen!r}")
-        args = obj.get("args")
-        if not isinstance(args, list) or len(args) != 2:
-            raise MalformedWord("a generator node needs exactly two args")
-        return cls.node(gen, obj.get("slot"), cls.from_json_obj(args[0]), cls.from_json_obj(args[1]))
+        """The word of JSON values as :meth:`to_json_obj` writes them.
+
+        Checked in pre-order with an explicit stack, so the first fault met
+        depth-first, left argument first, is the one raised; the word is then
+        built bottom-up.  An object that contains itself raises
+        :class:`MalformedWord` too."""
+        order = []  # checked labels and objects, in pre-order
+        open_ids = set()  # objects whose arguments are being checked
+        stack = [(obj, False)]
+        while stack:
+            o, closing = stack.pop()
+            if closing:
+                open_ids.discard(o)
+                continue
+            if isinstance(o, (int, str)) and not isinstance(o, bool):
+                order.append(o)
+                continue
+            if not isinstance(o, dict):
+                raise MalformedWord(f"expected a label or an object, got {o!r}")
+            gen = o.get("gen")
+            if gen not in ("C", "D"):
+                raise MalformedWord(f"unknown generator {gen!r}")
+            args = o.get("args")
+            if not isinstance(args, list) or len(args) != 2:
+                raise MalformedWord("a generator node needs exactly two args")
+            if id(o) in open_ids:
+                raise MalformedWord("a generator node contains itself")
+            open_ids.add(id(o))
+            order.append(o)
+            stack += ((id(o), True), (args[1], False), (args[0], False))
+        built = []
+        for o in reversed(order):
+            if isinstance(o, dict):
+                left = built.pop()
+                built.append(cls.node(o["gen"], o.get("slot"), left, built.pop()))
+            else:
+                built.append(cls.leaf(o))
+        return built[0]
 
     @classmethod
     def from_json(cls, text: str) -> "GenWord":
@@ -208,6 +268,14 @@ class GenWord:
         except ValueError as exc:
             raise MalformedWord(f"invalid JSON: {exc}") from None
         return cls.from_json_obj(obj)
+
+
+def _word_args(w: GenWord) -> tuple:
+    args = tuple(w.args)
+    for a in args:
+        if not isinstance(a, GenWord):
+            raise MalformedWord(f"not a generator word: {a!r}")
+    return args
 
 
 def evaluate(word: GenWord) -> Shrub:

@@ -42,7 +42,9 @@ def series_parallel_posets(labels) -> frozenset:
 
     if not labels:
         return frozenset()
-    return build(frozenset(labels))
+    result = build(frozenset(labels))
+    memo.clear()  # ``build`` refers to itself, so the memo would outlive this call until a full collection
+    return result
 
 
 def count_series_parallel(n: int) -> int:

@@ -9,6 +9,20 @@ A total order is *compatible* with a shrub when every positive-height vertex
 exceeds at least one vertex it covers; for forests these are exactly the
 linear extensions of the forest order.  The morphism :func:`gamma` sends a
 shrub to the sum of its compatible orders.
+
+Compatible orders and the linear extensions behind :func:`zinb_compose`
+come from one kernel on label masks, bit ``i`` standing for ``labels[i]``.
+Whether a vertex may come next depends only on the set already placed, so
+each placed set is met once: a forward sweep lists the reachable sets with
+their ready vertices, and a backward sweep gives each set its completions,
+each ready vertex in label order put in front of the completions of the
+set that places it.  That copying runs in C (``map`` over ``tuple.__add__``),
+and the Python work is one step per pair of a reachable set and a ready
+vertex, at most ``n * 2**(n-1)``.  At ``ORDER_CAP`` the 9-point antichain,
+the worst case, gives its 9! = 362,880 orders in about 0.25 s; its peak
+traced memory is about 60 MB, against 46 MB for the output alone, since
+the completion lists of two adjacent sizes are alive together (the last
+step frees each list of one placed vertex as it consumes it).
 """
 
 from __future__ import annotations
@@ -119,38 +133,72 @@ class ZinbElement:
         return f"ZinbElement({self.text()})"
 
 
+def _orders(labels, ready, opens, needs=None):
+    """Every order of ``labels`` in which each vertex is ready when placed,
+    in lexicographic index order (bit ``i`` stands for ``labels[i]``), by
+    the two sweeps of the module docstring.
+
+    ``ready`` is the mask of the vertices that may come first.  Placing
+    ``i`` makes the vertices of ``opens[i]`` ready: all of them when
+    ``needs`` is None, and otherwise each ``j`` once every vertex of
+    ``needs[j]`` is placed.
+    """
+    heads = [(v,).__add__ for v in labels]
+    levels = [{0: ready}]
+    for _ in labels:
+        nxt = {}
+        for s, r in levels[-1].items():
+            m = r
+            while m:
+                low = m & -m
+                m ^= low
+                t = s | low
+                if t in nxt:
+                    continue
+                i = low.bit_length() - 1
+                if needs is None:
+                    nxt[t] = (r | opens[i]) & ~t
+                    continue
+                add = r & ~t
+                w = opens[i] & ~t
+                while w:
+                    bit = w & -w
+                    w ^= bit
+                    if not needs[bit.bit_length() - 1] & ~t:
+                        add |= bit
+                nxt[t] = add
+        levels.append(nxt)
+    done = dict.fromkeys(levels.pop(), [()])
+    while levels:
+        level = levels.pop()
+        # a set of one vertex is reached only from the empty set, so the last step may free it
+        take = done.__getitem__ if levels else done.pop
+        cur = {}
+        for s, r in level.items():
+            out = []
+            m = r
+            while m:
+                low = m & -m
+                m ^= low
+                out += map(heads[low.bit_length() - 1], take(s | low))
+            cur[s] = out
+        done = cur
+    return done[0]
+
+
 def compatible_orders(P: Shrub) -> tuple:
     """All total orders where each vertex exceeds something it covers.
 
-    Backtracking over placeable vertices (height 0, or covering an already
-    placed vertex); output in lexicographic label order.
+    A vertex may be placed when it has height 0 or covers an already placed
+    vertex, so placing ``i`` makes every vertex covering it ready; the
+    orders come from :func:`_orders` on the cover masks of ``P``, in
+    lexicographic label order.
     """
     n = len(P)
     if n > ORDER_CAP:
         raise CapExceeded(f"{n} labels exceed the order-enumeration cap {ORDER_CAP}")
-    verts = sorted(P.labels, key=label_key)
-    covers = {v: P.covers(v) for v in verts}
-    heights = {v: P.height(v) for v in verts}
-    out = []
-    placed = []
-    placed_set = set()
-
-    def rec():
-        if len(placed) == n:
-            out.append(tuple(placed))
-            return
-        for v in verts:
-            if v in placed_set:
-                continue
-            if heights[v] == 0 or covers[v] & placed_set:
-                placed.append(v)
-                placed_set.add(v)
-                rec()
-                placed.pop()
-                placed_set.remove(v)
-
-    rec()
-    return tuple(out)
+    roots = sum(1 << i for i, m in enumerate(P._covers) if not m)
+    return tuple(_orders(P.labels, roots, P._covered))
 
 
 def gamma(P: Shrub) -> ZinbElement:
@@ -171,26 +219,18 @@ def gamma(P: Shrub) -> ZinbElement:
 
 
 def _extensions(elements, preds):
-    """Linear extensions of a partial order given as predecessor sets."""
-    out = []
-    chosen = []
-    remaining = set(elements)
-
-    def rec():
-        if not remaining:
-            out.append(tuple(chosen))
-            return
-        for v in sorted(remaining, key=label_key):
-            if preds[v] & remaining:
-                continue
-            remaining.remove(v)
-            chosen.append(v)
-            rec()
-            chosen.pop()
-            remaining.add(v)
-
-    rec()
-    return out
+    """Linear extensions of a partial order given as predecessor sets, in
+    lexicographic ``label_key`` order."""
+    labels = sorted(elements, key=label_key)
+    index = {v: i for i, v in enumerate(labels)}
+    needs = [0] * len(labels)
+    opens = [0] * len(labels)
+    for j, v in enumerate(labels):
+        for u in preds[v]:
+            needs[j] |= 1 << index[u]
+            opens[index[u]] |= 1 << j
+    ready = sum(1 << j for j, m in enumerate(needs) if not m)
+    return _orders(labels, ready, opens, needs)
 
 
 def _compose_orders(pi: tuple, i, sigma: tuple):
@@ -201,6 +241,9 @@ def _compose_orders(pi: tuple, i, sigma: tuple):
     the slot's place ahead of what followed it, and the tail of ``sigma``
     shuffles freely with that remainder (both internal orders kept).
     """
+    total = len(pi) - 1 + len(sigma)
+    if total > ORDER_CAP:
+        raise CapExceeded(f"{total} labels exceed the order-enumeration cap {ORDER_CAP}")
     pos = pi.index(i)
     pre, post = pi[:pos], pi[pos + 1 :]
     head = sigma[0]
@@ -214,9 +257,6 @@ def _compose_orders(pi: tuple, i, sigma: tuple):
         preds[head] = {pre[-1]}
     if post:
         preds[post[0]] = ({pre[-1]} if pre else set()) | {head}
-    total = len(pre) + len(post) + len(sigma)
-    if total > ORDER_CAP:
-        raise CapExceeded(f"{total} labels exceed the order-enumeration cap {ORDER_CAP}")
     return _extensions(list(pre) + list(post) + list(sigma), preds)
 
 

@@ -4,14 +4,16 @@ Nothing here shares logic with the library implementations it checks: the
 pattern scan walks every 4- and 5-vertex induced subgraph, isomorphism
 tries every height-preserving bijection, the canonical form tries every
 product of per-level permutations, the order-composition oracle
-builds shuffles directly, the index-0 action substitutes variables into
+builds shuffles directly, compatible orders and linear extensions come
+from recursive backtrackers over label sets, the index-0 action substitutes variables into
 the compositional fraction ``kappa`` through the generic linear-form path
 (sharing only the inverse, ``reconstruct``, with the library), and the
 closed formula and its inverse run on linear forms, factored fractions and
 validated sub-shrubs instead of label masks, and fraction text is written
 from the linear forms.  The generator-word oracles peel and rebuild
-recursively, through validated intermediate shrubs, and the word repr is
-spliced from the repr ``dataclasses`` generates for each node.
+recursively, through validated intermediate shrubs, the word repr is
+spliced from the repr ``dataclasses`` generates for each node, and word JSON
+is read and written recursively.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from shrubs.errors import CapExceeded, MalformedWord, NotInImage
 from shrubs.mould import FactoredFraction, LinearForm, kappa
 from shrubs.operad import GenWord, disjoint_union, fresh_slots, graft
 from shrubs.reconstruction import reconstruct
+from shrubs.zinbiel import ORDER_CAP
 
 
 def _edge(P, a, b):
@@ -188,6 +191,63 @@ def shuffle_compose_orders(pi, i, sigma):
     pre, post = pi[:pos], pi[pos + 1 :]
     head, tail = sigma[0], sigma[1:]
     return [pre + (head,) + w for w in _shuffles(post, tail)]
+
+
+def oracle_compatible_orders(P: Shrub) -> tuple:
+    """All total orders where each vertex exceeds something it covers.
+
+    Backtracking over placeable vertices (height 0, or covering an already
+    placed vertex); output in lexicographic label order.
+    """
+    n = len(P)
+    if n > ORDER_CAP:
+        raise CapExceeded(f"{n} labels exceed the order-enumeration cap {ORDER_CAP}")
+    verts = sorted(P.labels, key=label_key)
+    covers = {v: P.covers(v) for v in verts}
+    heights = {v: P.height(v) for v in verts}
+    out = []
+    placed = []
+    placed_set = set()
+
+    def rec():
+        if len(placed) == n:
+            out.append(tuple(placed))
+            return
+        for v in verts:
+            if v in placed_set:
+                continue
+            if heights[v] == 0 or covers[v] & placed_set:
+                placed.append(v)
+                placed_set.add(v)
+                rec()
+                placed.pop()
+                placed_set.remove(v)
+
+    rec()
+    return tuple(out)
+
+
+def oracle_extensions(elements, preds):
+    """Linear extensions of a partial order given as predecessor sets."""
+    out = []
+    chosen = []
+    remaining = set(elements)
+
+    def rec():
+        if not remaining:
+            out.append(tuple(chosen))
+            return
+        for v in sorted(remaining, key=label_key):
+            if preds[v] & remaining:
+                continue
+            remaining.remove(v)
+            chosen.append(v)
+            rec()
+            chosen.pop()
+            remaining.add(v)
+
+    rec()
+    return out
 
 
 def permuted_fraction(sigma, f: FactoredFraction, n: int) -> FactoredFraction:
@@ -473,6 +533,29 @@ def oracle_decompose(P: Shrub) -> GenWord:
 # the one ``dataclasses`` generates for GenWord
 _PlainWord = dataclasses.make_dataclass("GenWord", ["gen", "label", "slot", "args"], frozen=True)
 _MARK = "\x00"
+
+
+def oracle_word_json_obj(word):
+    """The JSON values of a word, built recursively."""
+    if word.gen == "leaf":
+        return word.label
+    return {"gen": word.gen, "slot": word.slot, "args": [oracle_word_json_obj(a) for a in word.args]}
+
+
+def oracle_word_from_json_obj(obj) -> GenWord:
+    """The word of JSON values, checked and built recursively."""
+    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+        return GenWord.leaf(obj)
+    if not isinstance(obj, dict):
+        raise MalformedWord(f"expected a label or an object, got {obj!r}")
+    gen = obj.get("gen")
+    if gen not in ("C", "D"):
+        raise MalformedWord(f"unknown generator {gen!r}")
+    args = obj.get("args")
+    if not isinstance(args, list) or len(args) != 2:
+        raise MalformedWord("a generator node needs exactly two args")
+    left = oracle_word_from_json_obj(args[0])
+    return GenWord.node(gen, obj.get("slot"), left, oracle_word_from_json_obj(args[1]))
 
 
 class _Marker:

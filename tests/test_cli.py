@@ -336,10 +336,6 @@ class TestMalformedInput:
         monkeypatch.setattr(owner, function, limited)
         return run(capsys, *args)
 
-    def check_recursion_error(self, code, out, err):
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("RecursionError:")
-
     def test_decompose_long_chain(self, capsys, monkeypatch, tmp_path):
         # decompose runs without recursion, so 100 frames suffice for 150 levels
         path = tmp_path / "chain.json"
@@ -359,11 +355,24 @@ class TestMalformedInput:
         code, out, err = self.run_limited(capsys, monkeypatch, operad, "evaluate", "evaluate", str(path))
         assert (code, out, err) == (0, want + "\n", "")
 
-    def test_decompose_word_too_deep_to_write(self, capsys, tmp_path):
-        # the word of a 5,000-vertex chain is built, but its JSON nests too deeply to write
+    def test_decompose_chain_of_5000(self, tmp_path):
+        # the word's JSON is written flat, so a fresh interpreter's limit does not bind
         path = tmp_path / "chain.json"
         path.write_text(chain(5000).to_json())
-        self.check_recursion_error(*run(capsys, "decompose", str(path)))
+        code, out, err = run_process("decompose", str(path))
+        assert (code, err) == (0, "")
+        assert out == operad.decompose(chain(5000)).to_json() + "\n"
+        assert out.count('{"gen": "D"') == 4999
+
+    def test_evaluate_word_of_5000_levels(self, tmp_path):
+        # the word is read without recursion, but the stdlib JSON parser
+        # refuses nesting this deep, and says so in one line
+        heads = (f'{{"gen": "D", "slot": "s{k}", "args": [{k}, ' for k in range(5000, 0, -1))
+        text = "".join(heads) + "0" + "]}" * 5000
+        path = tmp_path / "word.json"
+        path.write_text(text)
+        err = self.check_clean_failure("evaluate", str(path))
+        assert err == "MalformedWord: invalid JSON: JSON nested too deeply to parse\n"
 
     def test_reconstruct_long_chain(self, capsys, monkeypatch, tmp_path):
         # a shrub fraction is read directly, so 100 frames suffice for 150 levels

@@ -380,6 +380,19 @@ class TestShrubFraction:
     def test_kappa_equals_formula(self):
         holds("mould/closed-formula")
 
+    def test_kappa_of_a_long_chain_without_recursion(self):
+        P = Shrub(range(1, 601), {v: v - 1 for v in range(1, 601)}, [(v, v + 1) for v in range(1, 600)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            got = kappa.__wrapped__(P)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert got == fraction_of_shrub(P)
+
     def test_matches_linear_form_oracle(self):
         shrubs = [P for n in range(1, 6) for P in all_shrubs(n)]
         shrubs += random.Random(6).sample(all_shrubs(6), 2000)

@@ -19,10 +19,10 @@ from shrubs import (
     zinb_compose,
 )
 from shrubs import zinbiel
-from shrubs.checks import all_shrubs
+from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
-from oracles import shuffle_compose_orders
+from oracles import oracle_compatible_orders, oracle_extensions, shuffle_compose_orders
 from properties import holds
 
 
@@ -42,21 +42,68 @@ class TestCompatibleOrders:
         assert set(compatible_orders(star)) == {(1, 2, 3), (1, 3, 2)}
 
     def test_matches_direct_filter(self):
-        for P in all_shrubs(4):
-            expected = set()
-            below = {v: P.covers(v) for v in P.labels}
-            for perm in itertools.permutations(sorted(P.labels)):
-                pos = {v: k for k, v in enumerate(perm)}
-                if all(
-                    P.height(v) == 0 or any(pos[w] < pos[v] for w in below[v]) for v in perm
-                ):
-                    expected.add(perm)
-            assert set(compatible_orders(P)) == expected
+        holds("zinbiel/compatible-orders-bruteforce")
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(zinbiel, "_orders", refuse_to_enumerate)
         big = Shrub(range(10), {k: 0 for k in range(10)}, [])
         with pytest.raises(CapExceeded):
             compatible_orders(big)
+
+
+def refuse_to_enumerate(*args, **kwargs):
+    raise AssertionError("enumerated orders past the cap")
+
+
+def chain(n):
+    return Shrub(range(1, n + 1), {v: v - 1 for v in range(1, n + 1)}, [(v, v + 1) for v in range(1, n)])
+
+
+def random_poset(rng, size):
+    """Predecessor sets of a random partial order on ``size`` mixed labels."""
+    pool = [*range(-3, 12), "a", "b", "x", "Z", "10", ""]
+    elements = rng.sample(pool, size)
+    ranked = rng.sample(elements, size)
+    p = rng.random()
+    preds = {v: set() for v in elements}
+    for j, v in enumerate(ranked):
+        preds[v].update(u for u in ranked[:j] if rng.random() < p)
+    return elements, preds
+
+
+class TestOrderKernel:
+    """The placed-set sweep against the recursive backtrackers, order
+    included."""
+
+    def test_every_small_shrub(self):
+        for n in range(1, 6):
+            for P in all_shrubs(n):
+                assert compatible_orders(P) == oracle_compatible_orders(P)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random_shrubs(self, n):
+        rng = random.Random(1700 + n)
+        for _ in range(200):
+            P = random_shrub(range(1, n + 1), rng)
+            assert compatible_orders(P) == oracle_compatible_orders(P)
+
+    def test_extensions(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            elements, preds = random_poset(rng, rng.randint(0, 8))
+            assert tuple(zinbiel._extensions(elements, preds)) == tuple(oracle_extensions(elements, preds))
+
+    def test_antichain_of_nine(self):
+        P = Shrub(range(1, 10), {k: 0 for k in range(1, 10)}, [])
+        assert compatible_orders(P) == tuple(itertools.permutations(range(1, 10)))
+
+    def test_chain_of_nine(self):
+        assert compatible_orders(chain(9)) == (tuple(range(1, 10)),)
+
+    def test_mixed_labels(self):
+        P = Shrub([2, "a", 10, "B"], {2: 0, "a": 1, 10: 0, "B": 1}, [(2, "a"), (10, "B"), (10, "a")])
+        assert compatible_orders(P) == oracle_compatible_orders(P)
+        assert compatible_orders(P)[0] == (2, 10, "B", "a")
 
 
 class TestGamma:
@@ -131,6 +178,12 @@ class TestComposition:
             for o in shuffle_compose_orders(tuple(pi), i, tuple(sigma)):
                 want[o] = want.get(o, 0) + 1
             assert dict(got.coeffs) == want
+
+    def test_cap_before_enumeration(self, monkeypatch):
+        monkeypatch.setattr(zinbiel, "_orders", refuse_to_enumerate)
+        x = order(*range(1, 6)) + order(*range(5, 0, -1))
+        with pytest.raises(CapExceeded, match="10 labels exceed the order-enumeration cap 9"):
+            zinb_compose(x, 3, order(*range(11, 17)))
 
     def test_errors(self):
         with pytest.raises(UnknownLabel):
