@@ -59,7 +59,7 @@ from .operad import (
     pair_generator,
 )
 from .reconstruction import _read_parts, reconstruct
-from .series_parallel import count_series_parallel, count_unlabeled_series_parallel
+from .series_parallel import count_series_parallel, count_unlabeled_series_parallel, series_parallel_posets
 from .zinbiel import ZinbElement, compatible_orders, gamma, zinb_compose
 
 
@@ -818,11 +818,16 @@ def b0_bijection(max_n, seed):
 
 @_register("series-parallel/labeled-counts")
 def series_parallel_counts(max_n, seed):
+    """As many shrubs on 1..n as labeled series-parallel posets by their
+    generating functions, for every n <= max_n; for n <= 5 the posets are
+    also built and counted."""
     for n in range(1, max_n + 1):
         sp = count_series_parallel(n)
         sh = len(all_shrubs(n))
         if sp != sh:
             return False, f"counts differ at n={n}: {sp} posets vs {sh} shrubs"
+        if n <= 5 and len(series_parallel_posets(range(1, n + 1))) != sp:
+            return False, f"the posets built at n={n} are not the {sp} counted"
     return True, f"labeled counts agree for n<={max_n}"
 
 

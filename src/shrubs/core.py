@@ -78,6 +78,20 @@ def _bits(mask):
         mask ^= low
 
 
+def _composed_labels(outer, i, inner) -> frozenset:
+    """The labels of the partial composition of ``inner`` into the slot
+    ``i`` of ``outer``, the rule every partial composition shares: ``i``
+    must be a label of ``outer``, and the other labels of ``outer`` must
+    miss ``inner``."""
+    if i not in outer:
+        raise UnknownLabel(i, "composition slot")
+    rest = frozenset(outer) - {i}
+    clash = rest.intersection(inner)
+    if clash:
+        raise LabelClash(sorted(clash, key=label_key))
+    return rest.union(inner)
+
+
 class RamClass(NamedTuple):
     """An equivalence class of ramified vertices sharing one target set.
 

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .core import Shrub, label_key
+from .core import Shrub, _composed_labels, label_key
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -435,12 +435,8 @@ class FactoredFraction:
 
     def compose_at(self, i, other: "FactoredFraction", other_labels) -> "FactoredFraction":
         """Partial composition: multiply by the inner sum, substitute it for ``i``."""
-        if i not in self.labels:
-            raise UnknownLabel(i, "composition slot")
         other_labels = frozenset(other_labels)
-        clash = (self.labels - {i}) & other_labels
-        if clash:
-            raise LabelClash(sorted(clash, key=label_key))
+        _composed_labels(self.labels, i, other_labels)
         jsum = LinearForm.sum_of(other_labels)
         subbed = self.substitute({i: {v: 1 for v in other_labels}})
         return subbed * other * FactoredFraction(num=[jsum])
@@ -570,12 +566,7 @@ class MouldElement:
 
 def mould_compose(f: MouldElement, i, g: MouldElement) -> MouldElement:
     """Partial composition, term by term; factored inputs stay factored."""
-    if i not in f.labels:
-        raise UnknownLabel(i, "composition slot")
-    clash = (f.labels - {i}) & g.labels
-    if clash:
-        raise LabelClash(sorted(clash, key=label_key))
-    labels = (f.labels - {i}) | g.labels
+    labels = _composed_labels(f.labels, i, g.labels)
     jsum = LinearForm.sum_of(g.labels)
     sub = {i: {v: 1 for v in g.labels}}
     out = []
@@ -935,9 +926,9 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.labels == other.labels and self.num * other.den == other.num * self.den
 
-    def __hash__(self):  # pragma: no cover - not used as dict key
+    def __hash__(self):
         return hash(self.labels)
 
     def __neg__(self):
@@ -953,13 +944,8 @@ class RationalFunction:
         return RationalFunction(new_labels, self.num.substitute(label, replacement), den)
 
     def compose_at(self, i, other: "RationalFunction") -> "RationalFunction":
-        if i not in self.labels:
-            raise UnknownLabel(i, "composition slot")
-        clash = (self.labels - {i}) & other.labels
-        if clash:
-            raise LabelClash(sorted(clash, key=label_key))
+        labels = _composed_labels(self.labels, i, other.labels)
         S = Polynomial({((v, 1),): Fraction(1) for v in other.labels})
-        labels = (self.labels - {i}) | other.labels
         subbed = self.substitute(i, S, labels)
         return RationalFunction(labels, S * other.num * subbed.num, other.den * subbed.den)
 

@@ -18,8 +18,8 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .core import Shrub, _bits, _is_label, label_key, parse_json
-from .errors import LabelClash, MalformedWord, UnknownLabel
+from .core import Shrub, _bits, _composed_labels, _is_label, label_key, parse_json
+from .errors import LabelClash, MalformedWord
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
 
@@ -31,13 +31,9 @@ def compose(P: Shrub, i, Q: Shrub) -> Shrub:
     every former neighbor of ``i`` is joined to every height-0 vertex of
     ``Q``.  The labels of ``P`` minus ``i`` and of ``Q`` must be disjoint.
     """
-    if i not in P:
-        raise UnknownLabel(i, "composition slot")
+    _composed_labels(P, i, Q.labels)
     if len(Q) == 0:
         raise ValueError("cannot compose with an empty shrub")
-    clash = (set(P.labels) - {i}) & set(Q.labels)
-    if clash:
-        raise LabelClash(sorted(clash, key=label_key))
     hi = P.height(i)
     vertices = [v for v in P.labels if v != i] + list(Q.labels)
     height = {v: P.height(v) for v in P.labels if v != i}

@@ -1,35 +1,38 @@
 """The Zinbiel operad on total orders and the order-sum morphism from shrubs.
 
 A basis element of ``Zinb(I)`` is a total order on ``I``, written as a tuple
-with the minimum first.  Partial composition sums the total orders extending
-a partial order that keeps both operands' internal orders and places the
-substituted word after everything that preceded the slot.
+with the minimum first.  Partial composition is a half-shuffle: composing
+``sigma`` into the slot ``i`` of ``pi`` sums the orders that keep what came
+before ``i``, put the head of ``sigma`` in its place, and follow it with a
+shuffle of what came after ``i`` with the tail of ``sigma`` (the dual
+Leibniz operad of Loday, Math. Scand. 77, 1995).
 
 A total order is *compatible* with a shrub when every positive-height vertex
 exceeds at least one vertex it covers; for forests these are exactly the
 linear extensions of the forest order.  The morphism :func:`gamma` sends a
 shrub to the sum of its compatible orders.
 
-Compatible orders and the linear extensions behind :func:`zinb_compose`
-come from one kernel on label masks, bit ``i`` standing for ``labels[i]``.
-Whether a vertex may come next depends only on the set already placed, so
-each placed set is met once: a forward sweep lists the reachable sets with
-their ready vertices, and a backward sweep gives each set its completions,
-each ready vertex in label order put in front of the completions of the
-set that places it.  That copying runs in C (``map`` over ``tuple.__add__``),
-and the Python work is one step per pair of a reachable set and a ready
-vertex, at most ``n * 2**(n-1)``.  At ``ORDER_CAP`` the 9-point antichain,
-the worst case, gives its 9! = 362,880 orders in about 0.25 s; its peak
-traced memory is about 60 MB, against 46 MB for the output alone, since
-the completion lists of two adjacent sizes are alive together (the last
-step frees each list of one placed vertex as it consumes it).
+Compatible orders come from a kernel on label masks, bit ``i`` standing
+for ``labels[i]``.  Whether a vertex may come next depends only on the set
+already placed, so each placed set is met once: a forward sweep lists the
+reachable sets with their ready vertices, and a backward sweep gives each
+set its completions, each ready vertex in label order put in front of the
+completions of the set that places it.  That copying runs in C (``map``
+over ``tuple.__add__``), and the Python work is one step per pair of a
+reachable set and a ready vertex, at most ``n * 2**(n-1)``.  At
+``ORDER_CAP`` the 9-point antichain, the worst case, gives its 9! = 362,880
+orders in about 0.25 s; its peak traced memory is about 60 MB, against
+46 MB for the output alone, since the completion lists of two adjacent
+sizes are alive together (the last step frees each list of one placed
+vertex as it consumes it).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .core import Shrub, label_key
+from .core import Shrub, _composed_labels, label_key
 from .errors import CapExceeded, LabelClash, UnknownLabel
 
 ORDER_CAP = 9  # linear-extension enumeration is exponential past this
@@ -133,15 +136,13 @@ class ZinbElement:
         return f"ZinbElement({self.text()})"
 
 
-def _orders(labels, ready, opens, needs=None):
+def _orders(labels, ready, opens):
     """Every order of ``labels`` in which each vertex is ready when placed,
     in lexicographic index order (bit ``i`` stands for ``labels[i]``), by
     the two sweeps of the module docstring.
 
-    ``ready`` is the mask of the vertices that may come first.  Placing
-    ``i`` makes the vertices of ``opens[i]`` ready: all of them when
-    ``needs`` is None, and otherwise each ``j`` once every vertex of
-    ``needs[j]`` is placed.
+    ``ready`` is the mask of the vertices that may come first; placing
+    ``i`` makes the vertices of ``opens[i]`` ready.
     """
     heads = [(v,).__add__ for v in labels]
     levels = [{0: ready}]
@@ -153,20 +154,8 @@ def _orders(labels, ready, opens, needs=None):
                 low = m & -m
                 m ^= low
                 t = s | low
-                if t in nxt:
-                    continue
-                i = low.bit_length() - 1
-                if needs is None:
-                    nxt[t] = (r | opens[i]) & ~t
-                    continue
-                add = r & ~t
-                w = opens[i] & ~t
-                while w:
-                    bit = w & -w
-                    w ^= bit
-                    if not needs[bit.bit_length() - 1] & ~t:
-                        add |= bit
-                nxt[t] = add
+                if t not in nxt:
+                    nxt[t] = (r | opens[low.bit_length() - 1]) & ~t
         levels.append(nxt)
     done = dict.fromkeys(levels.pop(), [()])
     while levels:
@@ -218,56 +207,31 @@ def gamma(P: Shrub) -> ZinbElement:
     return ZinbElement._trusted(labels, dict.fromkeys(orders, _ONE))
 
 
-def _extensions(elements, preds):
-    """Linear extensions of a partial order given as predecessor sets, in
-    lexicographic ``label_key`` order."""
-    labels = sorted(elements, key=label_key)
-    index = {v: i for i, v in enumerate(labels)}
-    needs = [0] * len(labels)
-    opens = [0] * len(labels)
-    for j, v in enumerate(labels):
-        for u in preds[v]:
-            needs[j] |= 1 << index[u]
-            opens[index[u]] |= 1 << j
-    ready = sum(1 << j for j, m in enumerate(needs) if not m)
-    return _orders(labels, ready, opens, needs)
-
-
 def _compose_orders(pi: tuple, i, sigma: tuple):
-    """Orders substituting ``sigma`` for the slot ``i`` inside ``pi``.
-
-    The inner word fills the slot from its position rightward: everything
-    before the slot precedes all of ``sigma``, the head of ``sigma`` takes
-    the slot's place ahead of what followed it, and the tail of ``sigma``
-    shuffles freely with that remainder (both internal orders kept).
-    """
+    """Orders substituting ``sigma`` for the slot ``i`` inside ``pi``: a
+    half-shuffle.  What came before the slot stays put, the head of
+    ``sigma`` takes the slot, and the tail of ``sigma`` shuffles with what
+    came after it, both internal orders kept; each choice of the tail's
+    places gives one order."""
     total = len(pi) - 1 + len(sigma)
     if total > ORDER_CAP:
         raise CapExceeded(f"{total} labels exceed the order-enumeration cap {ORDER_CAP}")
     pos = pi.index(i)
-    pre, post = pi[:pos], pi[pos + 1 :]
-    head = sigma[0]
-    preds = {}
-    for seq in (pre, post, sigma):
-        for k in range(1, len(seq)):
-            preds[seq[k]] = {seq[k - 1]}
-    preds.setdefault(head, set())
-    if pre:
-        preds[pre[0]] = set()
-        preds[head] = {pre[-1]}
-    if post:
-        preds[post[0]] = ({pre[-1]} if pre else set()) | {head}
-    return _extensions(list(pre) + list(post) + list(sigma), preds)
+    lead, post, tail = pi[:pos] + sigma[:1], pi[pos + 1 :], sigma[1:]
+    out = []
+    for places in combinations(range(len(post) + len(tail)), len(tail)):
+        word = list(post)
+        for k, v in zip(places, tail):  # ascending places, so each insert leaves the earlier ones put
+            word.insert(k, v)
+        out.append(lead + tuple(word))
+    return out
 
 
 def zinb_compose(x: ZinbElement, i, y: ZinbElement) -> ZinbElement:
     """Partial composition of ``y`` into ``x`` at the slot ``i``."""
-    if i not in x.labels:
-        raise UnknownLabel(i, "composition slot")
-    clash = (x.labels - {i}) & y.labels
-    if clash:
-        raise LabelClash(sorted(clash, key=label_key))
-    labels = (x.labels - {i}) | y.labels
+    labels = _composed_labels(x.labels, i, y.labels)
+    if not y.labels:
+        raise ValueError("cannot compose with an empty order")
     acc = {}
     for pi, cx in x.coeffs.items():
         for sigma, cy in y.coeffs.items():

@@ -3,9 +3,10 @@
 Nothing here shares logic with the library implementations it checks: the
 pattern scan walks every 4- and 5-vertex induced subgraph, isomorphism
 tries every height-preserving bijection, the canonical form tries every
-product of per-level permutations, the order-composition oracle
-builds shuffles directly, compatible orders and linear extensions come
-from recursive backtrackers over label sets, the index-0 action substitutes variables into
+product of per-level permutations, the order-composition oracle builds
+shuffles recursively (the library picks the tail's places with
+``itertools.combinations``), compatible orders come from a recursive
+backtracker over label sets, the index-0 action substitutes variables into
 the compositional fraction ``kappa`` through the generic linear-form path
 (sharing only the inverse, ``reconstruct``, with the library), and the
 closed formula and its inverse run on linear forms, factored fractions and
@@ -225,29 +226,6 @@ def oracle_compatible_orders(P: Shrub) -> tuple:
 
     rec()
     return tuple(out)
-
-
-def oracle_extensions(elements, preds):
-    """Linear extensions of a partial order given as predecessor sets."""
-    out = []
-    chosen = []
-    remaining = set(elements)
-
-    def rec():
-        if not remaining:
-            out.append(tuple(chosen))
-            return
-        for v in sorted(remaining, key=label_key):
-            if preds[v] & remaining:
-                continue
-            remaining.remove(v)
-            chosen.append(v)
-            rec()
-            chosen.pop()
-            remaining.add(v)
-
-    rec()
-    return out
 
 
 def permuted_fraction(sigma, f: FactoredFraction, n: int) -> FactoredFraction:

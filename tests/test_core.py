@@ -21,6 +21,7 @@ from shrubs import (
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.core import _find_pattern
 from shrubs.errors import CapExceeded
+from shrubs.series_parallel import count_series_parallel
 
 from oracles import (
     brute_force_isomorphic,
@@ -361,6 +362,13 @@ class TestEnumeration:
 
     def test_connected_iso_classes_at_five(self):
         holds("core/iso-counts")
+
+    def test_labeled_counts_past_the_cap(self):
+        # the labeled shrub counts of the generating functions, past what is enumerated
+        assert count_series_parallel(7) == 1_152_019
+        assert count_series_parallel(8) == 30_564_075
+        with pytest.raises(ValueError):
+            count_series_parallel(0)
 
     def test_deterministic_order(self):
         assert enumerate_shrubs_bruteforce(3) == enumerate_shrubs_bruteforce(3)

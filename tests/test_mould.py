@@ -34,6 +34,7 @@ from shrubs import (
     pair_generator,
     parse_fraction,
     trivial_shrub,
+    zinb_compose,
     zinb_extract,
 )
 from shrubs.checks import all_shrubs
@@ -506,3 +507,40 @@ class TestDeformation:
     def test_zero_t_rejected(self):
         with pytest.raises(ZeroDenominator):
             deformed_generators((0, 0))
+
+    def test_equality_and_hash_see_the_labels(self):
+        one, u1 = Polynomial.constant(1), Polynomial.var(1)
+        a = RationalFunction({1}, u1, one)
+        assert a != RationalFunction({1, 2}, u1, one)
+        assert len({a, RationalFunction({1, 2}, u1, one)}) == 2
+        same = RationalFunction({1}, u1 * Polynomial.constant(2), Polynomial.constant(2))
+        assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+
+
+def five_compositions(P, i, Q):
+    """The five partial compositions, each on the images of ``P`` and ``Q``."""
+    mP, mQ = MouldElement.from_fraction(kappa(P)), MouldElement.from_fraction(kappa(Q))
+    return {
+        "compose": lambda: compose(P, i, Q),
+        "FactoredFraction.compose_at": lambda: kappa(P).compose_at(i, kappa(Q), Q.labels),
+        "mould_compose": lambda: mould_compose(mP, i, mQ),
+        "RationalFunction.compose_at": lambda: RationalFunction.from_mould(mP).compose_at(
+            i, RationalFunction.from_mould(mQ)
+        ),
+        "zinb_compose": lambda: zinb_compose(gamma(P), i, gamma(Q)),
+    }
+
+
+@pytest.mark.parametrize(
+    "slot, inner, error, message",
+    [
+        (9, graft_generator(3, 4), UnknownLabel, "unknown label 9 in composition slot"),
+        (1, Shrub(["a", 2, 5], {"a": 0, 2: 0, 5: 0}, []), LabelClash, "label clash on (2, 'a')"),
+    ],
+)
+def test_compositions_refuse_alike(slot, inner, error, message):
+    P = Shrub([1, 2, "a"], {1: 0, 2: 1, "a": 0}, [(1, 2)])
+    for name, run in five_compositions(P, slot, inner).items():
+        with pytest.raises(error) as info:
+            run()
+        assert str(info.value) == message, name

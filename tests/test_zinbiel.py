@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from shrubs import zinbiel
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
-from oracles import oracle_compatible_orders, oracle_extensions, shuffle_compose_orders
+from oracles import oracle_compatible_orders, shuffle_compose_orders
 from properties import holds
 
 
@@ -59,20 +61,8 @@ def chain(n):
     return Shrub(range(1, n + 1), {v: v - 1 for v in range(1, n + 1)}, [(v, v + 1) for v in range(1, n)])
 
 
-def random_poset(rng, size):
-    """Predecessor sets of a random partial order on ``size`` mixed labels."""
-    pool = [*range(-3, 12), "a", "b", "x", "Z", "10", ""]
-    elements = rng.sample(pool, size)
-    ranked = rng.sample(elements, size)
-    p = rng.random()
-    preds = {v: set() for v in elements}
-    for j, v in enumerate(ranked):
-        preds[v].update(u for u in ranked[:j] if rng.random() < p)
-    return elements, preds
-
-
 class TestOrderKernel:
-    """The placed-set sweep against the recursive backtrackers, order
+    """The placed-set sweep against the recursive backtracker, order
     included."""
 
     def test_every_small_shrub(self):
@@ -86,12 +76,6 @@ class TestOrderKernel:
         for _ in range(200):
             P = random_shrub(range(1, n + 1), rng)
             assert compatible_orders(P) == oracle_compatible_orders(P)
-
-    def test_extensions(self):
-        rng = random.Random(17)
-        for _ in range(400):
-            elements, preds = random_poset(rng, rng.randint(0, 8))
-            assert tuple(zinbiel._extensions(elements, preds)) == tuple(oracle_extensions(elements, preds))
 
     def test_antichain_of_nine(self):
         P = Shrub(range(1, 10), {k: 0 for k in range(1, 10)}, [])
@@ -180,7 +164,7 @@ class TestComposition:
             assert dict(got.coeffs) == want
 
     def test_cap_before_enumeration(self, monkeypatch):
-        monkeypatch.setattr(zinbiel, "_orders", refuse_to_enumerate)
+        monkeypatch.setattr(zinbiel, "combinations", refuse_to_enumerate)
         x = order(*range(1, 6)) + order(*range(5, 0, -1))
         with pytest.raises(CapExceeded, match="10 labels exceed the order-enumeration cap 9"):
             zinb_compose(x, 3, order(*range(11, 17)))
@@ -191,8 +175,40 @@ class TestComposition:
         with pytest.raises(LabelClash):
             zinb_compose(order(1, 2), 1, order(2))
 
+    def test_empty_inner_refused(self):
+        empty = ZinbElement.from_order(())
+        with pytest.raises(ValueError, match="cannot compose with an empty order"):
+            zinb_compose(order(1, 2), 1, empty)
+        with pytest.raises(ValueError, match="cannot compose with an empty order"):
+            zinb_compose(order(1, 2), 1, ZinbElement.zero(()))
+
     def test_gamma_agrees_with_generator_route(self):
         holds("zinbiel/unit-coefficients")
+
+
+def small_orders(labels, up_to=4):
+    return [o for k in range(1, up_to + 1) for o in itertools.permutations(labels[:k])]
+
+
+class TestHalfShuffle:
+    """``_compose_orders`` against the recursive shuffle oracle, as
+    multisets."""
+
+    def test_every_small_composition(self):
+        sigmas = small_orders((11, 12, 13, 14))
+        for pi in small_orders((1, 2, 3, 4)):
+            for i in pi:
+                post = len(pi) - 1 - pi.index(i)
+                for sigma in sigmas:
+                    got = Counter(zinbiel._compose_orders(pi, i, sigma))
+                    assert got == Counter(shuffle_compose_orders(pi, i, sigma))
+                    assert sum(got.values()) == math.comb(post + len(sigma) - 1, len(sigma) - 1)
+
+    def test_mixed_labels(self):
+        pi, sigma = (3, "b", 1, "a"), ("z", 10, "c")
+        got = zinbiel._compose_orders(pi, "b", sigma)
+        assert Counter(got) == Counter(shuffle_compose_orders(pi, "b", sigma))
+        assert len(got) == math.comb(4, 2) and all(o[:2] == (3, "z") for o in got)
 
 
 class TestZinbElement:
