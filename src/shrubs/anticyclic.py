@@ -12,11 +12,15 @@ of :func:`shrub_masks`.  With ``k0 = sigma^-1(0)``, a factor over ``S``
 maps to the sum over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when
 ``k0`` is in ``S`` it maps to minus the sum over the complement of
 ``sigma(S - {k0})``.  So the action never leaves 0/1 sums: :func:`act` and
-:func:`orbit` work on ``(sign, num masks, den masks)`` keys and rebuild a
-shrub from the masks of each result, through the cache behind
-:func:`reconstruct`.  No factored fraction is built.  :func:`orbit` closes
-the masks of ``x`` under two generators of the whole group, the
-transposition ``(0 1)`` and the cycle ``k -> k+1 mod n+1``.
+:func:`orbit` map unsigned shapes, the ``(num masks, den masks)`` pairs, to
+a sign change and a shape, and rebuild a shrub from the masks of each
+result, through the cache behind :func:`reconstruct`.  No factored
+fraction is built.  :func:`orbit` closes the shape of ``x`` under two
+generators of the whole group, the transposition ``(0 1)`` and the cycle
+``k -> k+1 mod n+1``.  The action is linear, so an orbit either holds both
+signs of each of its shapes or one sign of each: an orbit of ``m`` members
+on ``s`` shapes, ``s = m/2`` when sign-closed, costs ``2s`` steps and
+``s - 1`` rebuilds.
 
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
@@ -130,33 +134,23 @@ class _SubsetAction(dict):
         return hit
 
 
-def _step(image, key):
-    """Apply a subset action to a ``(sign, num masks, den masks)`` key.
+def _step(image, shape):
+    """Apply a subset action to a ``(num masks, den masks)`` shape; returns
+    ``(sign change, image shape)``.
 
     The action is an invertible linear map, so distinct factors stay
     distinct and a reduced fraction stays reduced: nothing cancels.
     """
-    sign, num, den = key
-    out = []
-    for masks in (num, den):
+    sign, out = 1, []
+    for masks in shape:
         images = []
         for mask in masks:
             m, s = image[mask]
             sign *= s
             images.append(m)
-        out.append(tuple(sorted(images)))
-    return sign, out[0], out[1]
-
-
-def _key(x: SignedShrub) -> tuple:
-    return (x.sign, *shrub_masks(x.shrub))
-
-
-def _signed_shrub(labels, key) -> SignedShrub:
-    """The signed shrub of a key, rebuilt from its masks and certified.
-    It has the labels of the shrub they came from, so it is not checked again."""
-    sign, num, den = key
-    return SignedShrub._trusted(sign, _reconstruct_checked((labels, num, den), DEFAULT_CAP))
+        images.sort()
+        out.append(tuple(images))
+    return sign, (out[0], out[1])
 
 
 def act(sigma, x: SignedShrub) -> SignedShrub:
@@ -168,33 +162,51 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     closure bug, surfaced as ``NotInImage`` by the certified rebuild.
     """
     sigma = _check_permutation(sigma, x.n)
-    return _signed_shrub(x.shrub.labels, _step(_SubsetAction(sigma, x.n), _key(x)))
+    sign, (num, den) = _step(_SubsetAction(sigma, x.n), shrub_masks(x.shrub))
+    shrub = _reconstruct_checked((x.shrub.labels, num, den), DEFAULT_CAP)
+    return SignedShrub._trusted(x.sign * sign, shrub)
 
 
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     """Closure of ``x`` under the full index-0 action, sorted.
 
-    A breadth-first search over factor masks under the transposition
+    A breadth-first search over unsigned shapes under the transposition
     ``(0 1)`` and the cycle ``k -> k+1 mod n+1``, which generate the group,
-    starting from the masks of ``x``.  Each member other than ``x`` is
-    rebuilt once, when first reached.  Members share the labels ``1..n``,
-    so they sort by heights, covers and sign, as by their sort keys.
+    starting from the shape of ``x``; each shape keeps the sign it was first
+    reached with.  Since ``orbit(-x) = -orbit(x)``, a step that reaches a
+    shape with the other sign makes the orbit sign-closed, holding both
+    signs of every shape; otherwise each shape appears once, with its sign.
+    Each shape other than that of ``x`` is rebuilt once, so an orbit on
+    ``s`` shapes costs ``2s`` steps and ``s - 1`` certified rebuilds.
+    Members share the labels ``1..n``, so they sort by heights, covers and
+    sign, as by their sort keys.
     """
     n = x.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the orbit cap {cap}")
-    start = _key(x)
+    start = shrub_masks(x.shrub)
     swap, cycle = (1, 0, *range(2, n + 1)), (*range(1, n + 1), 0)
     generators = [_SubsetAction(g, n) for g in ((swap,) if n == 1 else (swap, cycle))]
     labels = x.shrub.labels
-    seen, queue = {start: x}, [start]
-    for key in queue:
+    signs, queue, closed = {start: x.sign}, [start], False
+    for shape in queue:
+        sign = signs[shape]
         for image in generators:
-            z = _step(image, key)
-            if z not in seen:
-                seen[z] = _signed_shrub(labels, z)
+            t, z = _step(image, shape)
+            t *= sign
+            had = signs.get(z)
+            if had is None:
+                signs[z] = t
                 queue.append(z)
-    return tuple(sorted(seen.values(), key=lambda y: (y.shrub._heights, y.shrub._covers, y.sign)))
+            elif had != t:
+                closed = True
+    shrubs = [x.shrub]
+    shrubs += [_reconstruct_checked((labels, *z), DEFAULT_CAP) for z in queue[1:]]
+    ranked = sorted(zip(shrubs, signs.values()), key=lambda m: (m[0]._heights, m[0]._covers))
+    trusted = SignedShrub._trusted
+    if closed:
+        return tuple(trusted(s, P) for P, _ in ranked for s in (-1, 1))
+    return tuple(trusted(s, P) for P, s in ranked)
 
 
 def orbit_invariant(x: SignedShrub) -> OrbitInvariant:

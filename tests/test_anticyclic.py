@@ -20,6 +20,7 @@ from shrubs import (
     ram_count_preserved,
     trivial_shrub,
 )
+from shrubs import anticyclic
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
@@ -153,6 +154,81 @@ class TestOrbits:
 
     def test_invariants_constant_small(self):
         holds("anticyclic/orbit-invariants")
+
+
+def all_orbits(n):
+    """Every orbit of the signed shrubs on ``1..n``, one ``orbit`` call each."""
+    seen, out = set(), []
+    for x in all_signed(n):
+        if x not in seen:
+            members = orbit(x)
+            seen.update(members)
+            out.append(members)
+    return out
+
+
+def sign_closed(members):
+    return len(members) == 2 * len({y.shrub for y in members})
+
+
+class TestSignsAndShapes:
+    """The action is linear, so ``orbit(-x) = -orbit(x)``: an orbit holds
+    both signs of every shape it meets or one sign of each.  The search of
+    ``orbit`` runs over shapes and relies on this."""
+
+    @staticmethod
+    def negated(members):
+        return tuple(sorted((y.negate() for y in members), key=SignedShrub.sort_key))
+
+    def test_negation_every_shrub_n4(self):
+        for n in range(1, 5):
+            for x in all_signed(n):
+                assert orbit(x.negate()) == self.negated(orbit(x))
+
+    def test_negation_every_orbit_n5(self):
+        for members in all_orbits(5):
+            assert orbit(members[0].negate()) == self.negated(members)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_two_kinds(self, n):
+        for members in all_orbits(n):
+            shapes = {y.shrub for y in members}
+            if sign_closed(members):
+                assert set(members) == {SignedShrub(s, P) for P in shapes for s in (1, -1)}
+            else:
+                assert len(shapes) == len(members)
+
+    # signed orbits = shape orbits + sign-free pairs: a sign-free orbit and
+    # its negation share their shapes, a sign-closed orbit has them alone
+    @pytest.mark.parametrize(
+        "n, signed_count, closed, shape_orbits, total",
+        [(1, 1, 1, 1, 2), (2, 2, 0, 1, 6), (3, 4, 2, 3, 38), (4, 10, 0, 5, 390), (5, 25, 5, 15, 5582)],
+    )
+    def test_census(self, n, signed_count, closed, shape_orbits, total):
+        orbits = all_orbits(n)
+        assert len(orbits) == signed_count
+        assert sum(map(sign_closed, orbits)) == closed
+        assert len({frozenset(y.shrub for y in members) for members in orbits}) == shape_orbits
+        assert sum(map(len, orbits)) == total
+        assert signed_count == shape_orbits + (signed_count - closed) // 2
+
+    def test_one_rebuild_per_shape(self, monkeypatch):
+        calls = []
+        rebuild = anticyclic._reconstruct_checked
+
+        def counted(*args):
+            calls.append(args)
+            return rebuild(*args)
+
+        monkeypatch.setattr(anticyclic, "_reconstruct_checked", counted)
+        sizes = set()
+        for members in all_orbits(5):
+            calls.clear()
+            orbit(members[0])
+            shapes = len(members) // 2 if sign_closed(members) else len(members)
+            assert len(calls) <= shapes
+            sizes.add((len(members), sign_closed(members)))
+        assert (720, True) in sizes
 
 
 class TestInvariant:
