@@ -634,6 +634,10 @@ class Shrub:
                 height[v] = raw_height[str(v)]
             else:
                 raise UnknownLabel(v, "height map (missing)")
+        names = {*vertices, *map(str, vertices)}
+        for key in raw_height:
+            if key not in names:
+                raise UnknownLabel(key, "height map")
         edges = [tuple(e) for e in raw_edges]
         return cls(vertices, height, edges)
 

@@ -20,8 +20,8 @@ labels, and its result counts only once it is a shrub (no forbidden
 pattern) whose masks reproduce the fraction.  A fraction that reading
 refuses, or one on more than ``cap`` labels, goes to a walk that names the
 fault without building anything (see :func:`_name_fault`): it splits the
-labels into connected pieces, finds the roots of each piece by counting
-(see :func:`_roots`), and strips or splits, on an explicit stack.  No
+labels into connected pieces, reads the roots of each piece off the same
+counts (:func:`_heights`), and strips or splits, on an explicit stack.  No
 compatible order is enumerated and nothing recurses, so the work is
 polynomial in the number of labels.  A fraction outside the image always
 raises ``NotInImage``.
@@ -30,6 +30,8 @@ raises ``NotInImage``.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 from .core import Shrub, _bits, _find_pattern, label_key
 from .errors import CapExceeded, NotInImage
@@ -77,9 +79,8 @@ def recover_heights(f: FactoredFraction, labels=None, cap: int = DEFAULT_CAP) ->
 
     Read off the certified reconstruction: the height of a label is the
     number of denominator factors containing it, minus the number of
-    numerator factors containing it, minus 1 (:func:`_roots` is the case
-    of height 0); no order is enumerated.  ``labels`` must be
-    the labels of ``f``.
+    numerator factors containing it, minus 1 (:func:`_heights`); no order
+    is enumerated.  ``labels`` must be the labels of ``f``.
     """
     labels = frozenset(f.labels if labels is None else labels)
     if len(labels) > cap:
@@ -151,113 +152,9 @@ def _first_text(labels, masks) -> str:
     return "+".join(f"u{labels[i]}" for i in _bits(m))
 
 
-def _roots(num, den, part, labels) -> int:
-    """Mask of the height-0 vertices of a connected piece, from factor counts.
-
-    In ``f * (sum of the labels)`` every embedded compatible order has
-    degree 0 in ``u_a`` when it starts with ``a`` and negative degree
-    otherwise, so ``a`` is a root exactly when as many numerator factors
-    as denominator factors involve ``u_a``.  More numerator factors cannot
-    come from any shrub.  (A full-sum denominator factor would cancel the
-    multiplier; that changes both counts by one and not the comparison.)
-    """
-    roots = 0
-    for i in _bits(part):
-        bit = 1 << i
-        excess = 1
-        for g in num:
-            if g & bit:
-                excess += 1
-        for g in den:
-            if g & bit:
-                excess -= 1
-        if excess > 0:
-            raise NotInImage(f"degree in u{labels[i]} grows: not an order combination")
-        if not excess:
-            roots |= bit
-    if not roots:
-        raise NotInImage("no label can start a compatible order")
-    return roots
-
-
-def _split(masks, q, r, labels):
-    """``masks`` split into those inside ``q`` and those inside ``r``."""
-    in_q, in_r, straddling = [], [], []
-    for m in masks:
-        (in_q if not m & ~q else in_r if not m & ~r else straddling).append(m)
-    if straddling:
-        raise NotInImage(f"factor {_first_text(labels, straddling)} straddles the graft split")
-    return in_q, in_r
-
-
-def _name_fault(record: tuple, cap: int) -> None:
-    """Raise the first fault of a record, or return ``None`` if it has none.
-
-    The labels are split into connected pieces read off the denominator
-    masks, and each piece's roots (height 0) are found by counting (see
-    :func:`_roots`): a single root strips the full-sum factor; several
-    roots locate the unique numerator factor containing them all, whose
-    complement is the upper part of a graft.  Pieces are visited with an
-    explicit stack, lower before upper and components by least label, and
-    nothing is built.  A connected piece of more than ``cap`` labels raises
-    ``CapExceeded``.
-    """
-    labels = record[0]
-    stack = [(list(record[1]), list(record[2]), (1 << len(labels)) - 1)]
-    while stack:
-        num, den, part = stack.pop()
-        if not part:
-            raise NotInImage("no labels to reconstruct from")
-        if _support(num, den) != part:
-            raise NotInImage("some label appears in no denominator factor")
-        parts = _components(den, part) if part & (part - 1) else [part]
-        if len(parts) > 1:
-            straddling = [m for m in num if not any(not m & ~p for p in parts)]
-            if straddling:
-                raise NotInImage(f"factor {_first_text(labels, straddling)} straddles components")
-            for p in reversed(parts):
-                stack.append(([m for m in num if m & p], [m for m in den if m & p], p))
-            continue
-        if not part & (part - 1):
-            if num or den != [part]:
-                raise NotInImage("a single-vertex fraction must be 1/u")
-            continue
-        size = part.bit_count()
-        if size > cap:
-            raise CapExceeded(f"{size} labels exceed the extraction cap {cap}")
-        roots = _roots(num, den, part, labels)
-        if part not in den:
-            raise NotInImage("a connected fraction needs the full-sum denominator factor")
-        den = list(den)
-        den.remove(part)
-        if not roots & (roots - 1):
-            if _support(num, den) & roots:
-                root = labels[roots.bit_length() - 1]
-                raise NotInImage(f"u{root} survives after stripping the root factor")
-            stack.append((num, den, part ^ roots))
-            continue
-        candidates = [k for k, m in enumerate(num) if not roots & ~m]
-        if len(candidates) != 1:
-            raise NotInImage(
-                f"{len(candidates)} numerator factors contain every height-0 vertex (need exactly 1)"
-            )
-        (k,) = candidates
-        low = int(num[k])
-        high = part & ~low
-        if not high:
-            raise NotInImage("the graft numerator factor must miss some label")
-        num_low, num_high = _split(num[:k] + num[k + 1 :], low, high, labels)
-        den_low, den_high = _split(den, low, high, labels)
-        stack.append((num_high, den_high, high))
-        stack.append((num_low, den_low, low))
-
-
-def _read_parts(num, den, n) -> tuple | None:
-    """``(heights, covers)`` read straight off the factor masks of a
-    fraction on ``n`` labels, or ``None`` when a height is negative or not
-    below ``n``, or a positive-height vertex gets no cover.  On the masks of
-    a shrub this is the shrub's own heights and cover masks; on others it
-    need not be a shrub."""
+def _heights(num, den, n) -> list:
+    """Per label, the denominator factors containing it, less the numerator
+    factors containing it, less 1: its height when the masks are a shrub's."""
     heights = [-1] * n
     for m in den:
         while m:
@@ -269,6 +166,109 @@ def _read_parts(num, den, n) -> tuple | None:
             low = m & -m
             heights[low.bit_length() - 1] -= 1
             m ^= low
+    return heights
+
+
+def _split(masks, parts, labels, where) -> list:
+    """``masks``, each inside the union of the disjoint ``parts``, split by
+    the part each lies in; one that meets two parts straddles ``where``."""
+    out, straddling = [[] for _ in parts], []
+    for m in masks:
+        for k, p in enumerate(parts):
+            if m & p:
+                (straddling if m & ~p else out[k]).append(m)
+                break
+    if straddling:
+        raise NotInImage(f"factor {_first_text(labels, straddling)} straddles {where}")
+    return out
+
+
+def _name_fault(record: tuple, cap: int) -> None:
+    """Raise the first fault of a record, or return ``None`` if it has none.
+
+    The labels are split into connected pieces read off the denominator
+    masks.  A piece's roots are its labels whose count (:func:`_heights`,
+    taken once per record) equals the piece's ``base``, and a count below
+    ``base`` is a fault.  ``base`` is the number of full sums taken off
+    above the piece, less the graft numerator factors taken off above it
+    as a lower part: the factors gone from its lists that hold its labels.
+    A single root strips the full-sum factor; several roots locate the
+    unique numerator factor containing them all, whose complement is the
+    upper part of a graft.  Pieces are visited with an explicit stack,
+    lower before upper and components by least label, and nothing is
+    built.  A connected piece of more than ``cap`` labels raises
+    ``CapExceeded``.
+    """
+    labels, num, den = record
+    n = len(labels)
+    # at[h]: the labels counted h < n, at[-1] those counted below 0, and
+    # under[b] those counted below b; a piece at base b has n - b labels or fewer
+    at = [0] * (n + 1)
+    for i, h in enumerate(_heights(num, den, n)):
+        if h < n:
+            at[h if h >= 0 else -1] |= 1 << i
+    under = list(itertools.accumulate(at[:-1], operator.or_, initial=at[-1]))
+    stack = [(list(num), list(den), (1 << n) - 1, 0)]
+    while stack:
+        num, den, part, base = stack.pop()
+        if not part:
+            raise NotInImage("no labels to reconstruct from")
+        if _support(num, den) != part:
+            raise NotInImage("some label appears in no denominator factor")
+        # a piece with its full-sum factor is connected
+        parts = _components(den, part) if part & (part - 1) and part not in den else [part]
+        if len(parts) > 1:
+            nums = _split(num, parts, labels, "components")
+            dens = _split(den, parts, labels, "components")
+            stack.extend((nums[k], dens[k], parts[k], base) for k in reversed(range(len(parts))))
+            continue
+        if not part & (part - 1):
+            if num or den != [part]:
+                raise NotInImage("a single-vertex fraction must be 1/u")
+            continue
+        size = part.bit_count()
+        if size > cap:
+            raise CapExceeded(f"{size} labels exceed the extraction cap {cap}")
+        grows = part & under[base]
+        if grows:
+            label = labels[(grows & -grows).bit_length() - 1]
+            raise NotInImage(f"degree in u{label} grows: not an order combination")
+        roots = part & at[base]
+        if not roots:
+            raise NotInImage("no label can start a compatible order")
+        if part not in den:
+            raise NotInImage("a connected fraction needs the full-sum denominator factor")
+        den = list(den)
+        den.remove(part)
+        if not roots & (roots - 1):
+            if _support(num, den) & roots:
+                root = labels[roots.bit_length() - 1]
+                raise NotInImage(f"u{root} survives after stripping the root factor")
+            stack.append((num, den, part ^ roots, base + 1))
+            continue
+        candidates = [k for k, m in enumerate(num) if not roots & ~m]
+        if len(candidates) != 1:
+            raise NotInImage(
+                f"{len(candidates)} numerator factors contain every height-0 vertex (need exactly 1)"
+            )
+        (k,) = candidates
+        low = int(num[k])
+        high = part & ~low
+        if not high:
+            raise NotInImage("the graft numerator factor must miss some label")
+        num_low, num_high = _split(num[:k] + num[k + 1 :], (low, high), labels, "the graft split")
+        den_low, den_high = _split(den, (low, high), labels, "the graft split")
+        stack.append((num_high, den_high, high, base + 1))
+        stack.append((num_low, den_low, low, base))
+
+
+def _read_parts(num, den, n) -> tuple | None:
+    """``(heights, covers)`` read straight off the factor masks of a
+    fraction on ``n`` labels, or ``None`` when a height is negative or not
+    below ``n``, or a positive-height vertex gets no cover.  On the masks of
+    a shrub this is the shrub's own heights and cover masks; on others it
+    need not be a shrub."""
+    heights = _heights(num, den, n)
     levels = [0] * n
     for i, h in enumerate(heights):
         if not 0 <= h < n:

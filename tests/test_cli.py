@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from shrubs import checks, core, operad, reconstruction
 from shrubs.cli import main
 from shrubs.fraction_parser import _parse_general
 
+from helpers import chain, stack_depth
 from oracles import oracle_format_fraction, oracle_fraction, oracle_reconstruct
 
 
@@ -201,18 +203,6 @@ class TestCli:
         assert first == second
 
 
-def chain(n):
-    """The path 1 - 2 - ... - n, rooted at 1."""
-    return Shrub(range(1, n + 1), {v: v - 1 for v in range(1, n + 1)}, [(v, v + 1) for v in range(1, n)])
-
-
-def stack_depth():
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
-
-
 # labels fraction text refuses, one or two to a shrub, in numerator and
 # denominator factors
 BAD_LABEL_SHRUBS = (
@@ -287,6 +277,12 @@ class TestMalformedInput:
         err = self.check_clean_failure("fraction", str(sfile))
         assert err.startswith("ValueError:") and "height" in err
 
+    def test_shrub_with_height_for_no_vertex(self, tmp_path):
+        sfile = tmp_path / "shrub.json"
+        sfile.write_text('{"vertices":[1,2],"height":{"1":0,"2":1,"3":0},"edges":[[1,2]]}')
+        err = self.check_clean_failure("validate", str(sfile))
+        assert err == "UnknownLabel: unknown label '3' in height map\n"
+
     def test_shrub_as_top_level_list(self, tmp_path):
         sfile = tmp_path / "shrub.json"
         sfile.write_text("[1, 2]")
@@ -307,6 +303,18 @@ class TestMalformedInput:
         args = ("act", "1,0,2") if command == "act" else ("orbit",)
         err = self.check_clean_failure(*args, str(path))
         assert err.startswith(f"ValueError: sign must be +1 or -1, got {float(sign)!r}")
+
+    def test_reconstruct_refused_chain_of_1000(self, tmp_path):
+        # the fault walk counts heights once for the whole fraction, so a
+        # refusal of this size takes about a second, interpreter start included
+        f = fraction_of_shrub(chain(1000))
+        extra = LinearForm.sum_of((999, 1000))
+        path = tmp_path / "frac.txt"
+        path.write_text(format_fraction(FactoredFraction(f.sign, f.scalar, f.num, f.den + (extra,))))
+        start = time.perf_counter()
+        err = self.check_clean_failure("reconstruct", str(path), "--cap", "1000")
+        assert time.perf_counter() - start < 10
+        assert err == "NotInImage: no label can start a compatible order\n"
 
     def test_act_with_non_integer_permutation(self, tmp_path):
         path = tmp_path / "signed.json"

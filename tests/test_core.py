@@ -383,6 +383,17 @@ class TestSerialization:
         P = Shrub(["a", "b"], {"a": 0, "b": 1}, [("a", "b")])
         assert Shrub.from_json(P.to_json()) == P
 
+    def test_json_height_keys_name_vertices(self):
+        # as the constructor refuses a height for a label that is no vertex
+        for text, label in (
+            ('{"vertices": [1, 2], "height": {"1": 0, "2": 1, "3": 0}, "edges": [[1, 2]]}', "3"),
+            ('{"vertices": ["a"], "height": {"a": 0, "1": 0}}', "1"),
+        ):
+            with pytest.raises(UnknownLabel, match=f"^unknown label '{label}' in height map$"):
+                Shrub.from_json(text)
+        with pytest.raises(UnknownLabel, match="^unknown label 3 in height map$"):
+            Shrub([1, 2], {1: 0, 2: 1, 3: 0}, [(1, 2)])
+
     def test_json_shape(self):
         P = chain(2, 1)
         data = json.loads(P.to_json())

@@ -43,6 +43,7 @@ from shrubs.fraction_parser import _parse_canonical, _parse_general
 from shrubs.mould import shrub_fraction_factors, shrub_masks
 from shrubs.reconstruction import _record
 
+from helpers import chain, stack_depth
 from oracles import oracle_format_fraction, oracle_fraction, oracle_fraction_factors
 from properties import holds
 
@@ -382,12 +383,9 @@ class TestShrubFraction:
         holds("mould/closed-formula")
 
     def test_kappa_of_a_long_chain_without_recursion(self):
-        P = Shrub(range(1, 601), {v: v - 1 for v in range(1, 601)}, [(v, v + 1) for v in range(1, 600)])
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
+        P = chain(600)
         saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
+        sys.setrecursionlimit(stack_depth() + 100)
         try:
             got = kappa.__wrapped__(P)
         finally:

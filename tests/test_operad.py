@@ -24,6 +24,7 @@ from shrubs import (
 )
 from shrubs.checks import all_shrubs, random_shrub
 
+from helpers import chain, stack_depth
 from oracles import (
     dataclass_repr,
     oracle_decompose,
@@ -163,11 +164,6 @@ class TestPresentation:
             evaluate(word)
 
 
-def chain(n):
-    """The path 0 - 1 - ... - n-1, rooted at 0."""
-    return Shrub(range(n), {v: v for v in range(n)}, [(v, v + 1) for v in range(n - 1)])
-
-
 # labels mixing ints and strs; the slot-like ones make ``fresh_slots`` skip
 # names, and ``□10`` sorts before ``□2``
 MIXED_LABELS = (0, 7, -3, "a", "b", "□0", "□2", "□10", "□tmp")
@@ -210,7 +206,7 @@ class TestDecomposeAgainstOracle:
         assert evaluate(word) == P
         again = decompose(P)
         assert word == again and hash(word) == hash(again)
-        assert word != decompose(P.relabel({4999: 5000}))
+        assert word != decompose(P.relabel({5000: 5001}))
         assert sorted(word.leaf_labels()) == list(P.labels)
         assert repr(word) == dataclass_repr(word)
 
@@ -251,13 +247,6 @@ class TestDecomposeAgainstOracle:
         shared = {"gen": "C", "args": [1, 2]}  # shared, not nested in itself
         inner = GenWord.node("C", None, GenWord.leaf(1), GenWord.leaf(2))
         assert GenWord.from_json_obj({"gen": "D", "args": [shared, shared]}) == GenWord.node("D", None, inner, inner)
-
-
-def stack_depth():
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
 
 
 @st.composite

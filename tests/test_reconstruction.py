@@ -29,9 +29,9 @@ from shrubs.checks import all_shrubs, random_shrub
 from shrubs.mould import shrub_masks
 from shrubs.reconstruction import _name_fault, _read_parts, _record, _Weighted
 
+from helpers import chain, stack_depth
 from oracles import oracle_components, oracle_reconstruct, outcome
 from properties import holds
-from test_cli import stack_depth
 
 FIG2_TEXT = (
     "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
@@ -207,20 +207,19 @@ class TestDirectReading:
                 self.assert_read_directly(direct_only, P.relabel(dict(zip(P.labels, labels))))
 
     def test_long_chain(self, direct_only):
-        P = Shrub(range(1000), {v: v for v in range(1000)}, [(v, v + 1) for v in range(999)])
+        P = chain(1000)
         assert direct_only(fraction_of_shrub(P)._masks, 1000) == P
 
     def test_refused_long_chain(self):
         # the fault walk keeps no frame per level: one factor too many on a
-        # 300-vertex chain is refused with 30 frames to spare
-        P = Shrub(range(300), {v: v for v in range(300)}, [(v, v + 1) for v in range(299)])
-        f = fraction_of_shrub(P)
-        record = _record(FactoredFraction(f.sign, f.scalar, f.num, f.den + (LinearForm.sum_of((298, 299)),)))
+        # 1,000-vertex chain is refused with 30 frames to spare
+        f = fraction_of_shrub(chain(1000))
+        record = _record(FactoredFraction(f.sign, f.scalar, f.num, f.den + (LinearForm.sum_of((999, 1000)),)))
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 30)
         try:
             with pytest.raises(NotInImage, match="^no label can start a compatible order$"):
-                checked(record, 300)
+                checked(record, 1000)
         finally:
             sys.setrecursionlimit(saved)
 
@@ -229,6 +228,30 @@ class TestDirectReading:
         got = outcome(checked, _record(f), cap)
         assert got == outcome(oracle_reconstruct, f, cap)
         return got
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_perturbed_random_shrubs(self, n):
+        # deep walks: a shrub fraction with one factor dropped, one factor
+        # copied to a random side, or one random subset sum added to a
+        # random side; at cap n - 2 the walk raises CapExceeded partway
+        rng = random.Random(2000 + n)
+        kinds = set()
+        for _ in range(250):
+            f = fraction_of_shrub(random_shrub(range(1, n + 1), rng))
+            side, factor = rng.choice([(0, g) for g in f.num] + [(1, g) for g in f.den])
+            subset = LinearForm.sum_of(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            # (side, drop rather than add, factor)
+            changes = (
+                (side, True, factor),
+                (rng.randrange(2), False, factor),
+                (rng.randrange(2), False, subset),
+            )
+            for k, drop, g in changes:
+                sides = [list(f.num), list(f.den)]
+                (sides[k].remove if drop else sides[k].append)(g)
+                for cap in (n, n - 2):
+                    kinds.add(self.same_outcome(FactoredFraction(f.sign, f.scalar, *sides), cap)[0])
+        assert kinds == {"ok", NotInImage, CapExceeded}
 
     def test_weighted_factor(self):
         # right degree, and read as the edge 2 - 1; the factor u1+2*u2 only
@@ -245,13 +268,18 @@ class TestDirectReading:
         assert self.same_outcome(f, 6) == (NotInImage, "the rebuilt shrub does not reproduce the fraction")
 
     def test_first_fault_in_walk_order(self):
-        # two faulty pieces: the component with the least label, and the
-        # lower part of a graft, are named first
+        # two faults: the component with the least label, the lower part of
+        # a graft, and a numerator factor straddling the graft split before
+        # a denominator factor, are named first
         for text, message in (
             ("1/((u1+u3)(u1+u3)(u2)(u2)(u3))", "no label can start a compatible order"),
             (
                 "(u1+u2+u3)/((u1+u2+u3+u4)(u1+u3)(u2)(u4)(u4))",
                 "0 numerator factors contain every height-0 vertex (need exactly 1)",
+            ),
+            (
+                "(u1+u2)(u2+u3)/((u1+u2+u3+u4)(u2)(u2)(u1+u3)(u3)(u4))",
+                "factor u2+u3 straddles the graft split",
             ),
         ):
             assert self.same_outcome(parse_fraction(text), 6) == (NotInImage, message)
@@ -262,8 +290,7 @@ class TestDirectReading:
         assert self.same_outcome(f, 6) == (NotInImage, "no labels to reconstruct from")
 
     def test_more_labels_than_cap(self):
-        chain = fraction_of_shrub(Shrub(range(7), {v: v for v in range(7)}, [(v, v + 1) for v in range(6)]))
-        assert self.same_outcome(chain, 6)[0] is CapExceeded
+        assert self.same_outcome(fraction_of_shrub(chain(7)), 6)[0] is CapExceeded
         # a forest whose pieces fit under the cap is returned
         points = Shrub(range(7), {v: 0 for v in range(7)}, [])
         assert self.same_outcome(fraction_of_shrub(points), 6) == ("ok", points)

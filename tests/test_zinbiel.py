@@ -24,6 +24,7 @@ from shrubs import zinbiel
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
+from helpers import chain
 from oracles import oracle_compatible_orders, shuffle_compose_orders
 from properties import holds
 
@@ -55,10 +56,6 @@ class TestCompatibleOrders:
 
 def refuse_to_enumerate(*args, **kwargs):
     raise AssertionError("enumerated orders past the cap")
-
-
-def chain(n):
-    return Shrub(range(1, n + 1), {v: v - 1 for v in range(1, n + 1)}, [(v, v + 1) for v in range(1, n)])
 
 
 class TestOrderKernel:
