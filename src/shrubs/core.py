@@ -83,7 +83,7 @@ def _composed_labels(outer, i, inner) -> frozenset:
     ``i`` of ``outer``, the rule every partial composition shares: ``i``
     must be a label of ``outer``, and the other labels of ``outer`` must
     miss ``inner``."""
-    if i not in outer:
+    if not _is_label(i) or i not in outer:
         raise UnknownLabel(i, "composition slot")
     rest = frozenset(outer) - {i}
     clash = rest.intersection(inner)
@@ -214,10 +214,15 @@ class Shrub:
 
     @classmethod
     def _from_parts(cls, labels, heights, covers):
-        """Trusted constructor for results known to satisfy all axioms."""
+        """Trusted constructor for results known to satisfy all axioms.
+
+        The label index is left unset and built by the first label query
+        (:meth:`_label_index`): most trusted shrubs, the enumerated ones
+        above all, are only read by position, and the index would be about
+        half of what each keeps."""
         self = object.__new__(cls)
         self.labels = labels
-        self._index = {v: i for i, v in enumerate(labels)}
+        self._index = None
         self._heights = heights
         self._covers = covers
         covered = [0] * len(labels)
@@ -240,7 +245,7 @@ class Shrub:
         return iter(self.labels)
 
     def __contains__(self, label):
-        return label in self._index
+        return _is_label(label) and label in self._label_index()
 
     def __eq__(self, other):
         if not isinstance(other, Shrub):
@@ -264,11 +269,20 @@ class Shrub:
         es = ", ".join(f"{a!r}-{b!r}" for a, b in self.edges)
         return f"Shrub({{{hs}}}; {es})"
 
+    def _label_index(self) -> dict:
+        """The label → position dict, built on first use and kept.  Threads
+        that race here build equal dicts, so either may be kept."""
+        index = self._index
+        if index is None:
+            index = self._index = {v: i for i, v in enumerate(self.labels)}
+        return index
+
     def _idx(self, label):
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownLabel(label) from None
+        if _is_label(label):
+            i = self._label_index().get(label)
+            if i is not None:
+                return i
+        raise UnknownLabel(label)
 
     def _mask_labels(self, mask):
         return frozenset(self.labels[i] for i in _bits(mask))
@@ -438,7 +452,7 @@ class Shrub:
         if self._covers[ia] != self._covers[ib] or self._covered[ia] != self._covered[ib]:
             raise NotCorrelated((a, b))
         _check_label(new_label)
-        if new_label in self._index and new_label not in (a, b):
+        if new_label in self._label_index() and new_label not in (a, b):
             raise LabelClash((new_label,))
         keep = [i for i in range(len(self.labels)) if i not in (ia, ib)]
         labels = [self.labels[i] for i in keep] + [new_label]
@@ -697,26 +711,31 @@ def enumerate_shrubs_bruteforce(n: int) -> tuple:
     Height maps are exactly the ordered level partitions (axiom 2 forces
     contiguous levels); the edge sets compatible with axioms 1 and 2 are the
     per-vertex choices of a nonempty cover set one level down; the pattern
-    axiom is then checked on each candidate.  Deterministic output order.
+    axiom is then checked on each candidate.  The output is in
+    :meth:`Shrub.sort_key` order.
     At most :data:`ENUMERATION_CAP` labels: the result is held whole.
+
+    Every shrub shares one ``labels`` tuple, the shrubs of one level
+    partition share one heights tuple, and none holds a label index until a
+    label is first looked up (:meth:`Shrub._from_parts`).  Since all have
+    the labels ``1..n``, ``sort_key`` ties on its first part, so the sort
+    reads ``(heights, covers)`` directly and builds no per-label key.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"n={n} exceeds cap {ENUMERATION_CAP}")
-    labels = tuple(range(1, n + 1))
+    labels = tuple(range(1, n + 1))  # label v sits at index v - 1
     out = []
     for levels in _ordered_level_partitions(labels):
-        heights = {}
+        heights = [0] * n
         for h, lv in enumerate(levels):
             for v in lv:
-                heights[v] = h
-        label_order = tuple(sorted(heights, key=label_key))
-        height_tuple = tuple(heights[v] for v in label_order)
-        idx = {v: i for i, v in enumerate(label_order)}
+                heights[v - 1] = h
+        height_tuple = tuple(heights)
         choosers = []
         for h in range(1, len(levels)):
-            below = [idx[v] for v in levels[h - 1]]
+            below = [v - 1 for v in levels[h - 1]]
             subsets = []
             for r in range(1, len(below) + 1):
                 for combo in itertools.combinations(below, r):
@@ -725,14 +744,14 @@ def enumerate_shrubs_bruteforce(n: int) -> tuple:
                         m |= 1 << i
                     subsets.append(m)
             for v in levels[h]:
-                choosers.append((idx[v], subsets))
+                choosers.append((v - 1, subsets))
         for choice in itertools.product(*(s for _, s in choosers)):
             covers = [0] * n
             for (i, _), m in zip(choosers, choice):
                 covers[i] = m
             if _find_pattern(covers) is None:
-                out.append(Shrub._from_parts(label_order, height_tuple, tuple(covers)))
-    out.sort(key=Shrub.sort_key)
+                out.append(Shrub._from_parts(labels, height_tuple, tuple(covers)))
+    out.sort(key=lambda P: (P._heights, P._covers))
     return tuple(out)
 
 

@@ -1,6 +1,9 @@
+import itertools
 import json
+import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from shrubs import (
     ForbiddenPattern,
     HeightJump,
+    LabelClash,
     NotALeaf,
     NotCorrelated,
     Shrub,
@@ -372,6 +376,79 @@ class TestEnumeration:
 
     def test_deterministic_order(self):
         assert enumerate_shrubs_bruteforce(3) == enumerate_shrubs_bruteforce(3)
+
+    def test_order_is_sort_key_order(self):
+        for n in range(1, 6):
+            out = enumerate_shrubs_bruteforce(n)
+            assert out == tuple(sorted(set(out), key=Shrub.sort_key))
+
+    def test_memory_per_shrub(self):
+        # a shrub keeps its tuples and hash; the label index is built only on
+        # a label query, and the sort builds no key per label
+        enumerate_shrubs_bruteforce(3)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            out = enumerate_shrubs_bruteforce(5)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 2791
+        assert retained <= 450 * len(out)
+        assert peak <= 1.25 * retained
+
+
+def _outcome(query):
+    try:
+        return "value", query()
+    except (UnknownLabel, NotALeaf, NotCorrelated, LabelClash) as e:
+        return type(e).__name__, str(e)
+
+
+class TestLabelIndex:
+    NON_LABELS = (1.0, True, [1], None)
+
+    def test_built_on_first_query_and_answers_as_validated(self):
+        for n in range(1, 5):
+            for P in enumerate_shrubs_bruteforce(n):
+                assert P._index is None
+                Q = Shrub(P.labels, P.height_map, P.edges)
+                assert P == Q and hash(P) == hash(Q) and P.to_json_dict() == Q.to_json_dict()
+                swap = {P.labels[0]: P.labels[-1], P.labels[-1]: P.labels[0]}
+                for mapping in ({v: v + 10 for v in P.labels}, swap):
+                    assert P.relabel(mapping) == Q.relabel(mapping)
+                assert P.canonical_form() == Q.canonical_form()
+                assert P._index is None
+                probes = (*P.labels, 0, n + 1, "a", *self.NON_LABELS)
+                assert [v in P for v in probes] == [v in Q for v in probes]
+                assert P._index == Q._index
+                for v in probes:
+                    for query in ("height", "covers", "covered_by", "delete_leaf"):
+                        assert _outcome(lambda: getattr(P, query)(v)) == _outcome(lambda: getattr(Q, query)(v))
+                    assert _outcome(lambda: P.upper_ideal([v])) == _outcome(lambda: Q.upper_ideal([v]))
+                assert P.upper_ideal(P.labels) == Q.upper_ideal(P.labels)
+                for a, b in itertools.permutations(P.labels + (n + 1,), 2):
+                    for new in (a, n + 1, P.labels[0]):
+                        assert _outcome(lambda: P.merge_correlated(a, b, new)) == _outcome(
+                            lambda: Q.merge_correlated(a, b, new)
+                        )
+
+    def test_queries_refuse_what_is_no_label(self):
+        for P in (chain(1, 2), enumerate_shrubs_bruteforce(2)[1]):
+            for x in self.NON_LABELS:
+                assert x not in P
+                for query in (P.height, P.covers, P.covered_by, P.delete_leaf, lambda x: P.upper_ideal([x])):
+                    with pytest.raises(UnknownLabel):
+                        query(x)
+                with pytest.raises(UnknownLabel):
+                    P.merge_correlated(x, 2, 3)
+
+    def test_pickle_round_trip(self):
+        for P in enumerate_shrubs_bruteforce(4)[::7]:
+            loaded = pickle.loads(pickle.dumps(P))
+            assert loaded == P and hash(loaded) == hash(P)
+            assert all(loaded.height(v) == P.height(v) for v in P.labels)
+            assert all(loaded.covers(v) == P.covers(v) for v in P.labels)
+            assert 0 not in loaded and 1.0 not in loaded
 
 
 class TestSerialization:
