@@ -533,10 +533,10 @@ def five_compositions(P, i, Q):
     "slot, inner, error, message",
     [
         (9, graft_generator(3, 4), UnknownLabel, "unknown label 9 in composition slot"),
+        (1, Shrub(["a", 2, 5], {"a": 0, 2: 0, 5: 0}, []), LabelClash, "label clash on (2, 'a')"),
         (1.0, graft_generator(3, 4), UnknownLabel, "unknown label 1.0 in composition slot"),
         (True, graft_generator(3, 4), UnknownLabel, "unknown label True in composition slot"),
         ([1], graft_generator(3, 4), UnknownLabel, "unknown label [1] in composition slot"),
-        (1, Shrub(["a", 2, 5], {"a": 0, 2: 0, 5: 0}, []), LabelClash, "label clash on (2, 'a')"),
     ],
 )
 def test_compositions_refuse_alike(slot, inner, error, message):
