@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .core import Shrub, _bits
 from .errors import CapExceeded, NotAForest
 from .mould import shrub_masks
-from .reconstruction import DEFAULT_CAP, _reconstruct_checked
+from .reconstruction import _reconstruct_checked
 
 
 class OrbitInvariant(NamedTuple):
@@ -163,7 +163,7 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     """
     sigma = _check_permutation(sigma, x.n)
     sign, (num, den) = _step(_SubsetAction(sigma, x.n), shrub_masks(x.shrub))
-    shrub = _reconstruct_checked((x.shrub.labels, num, den), DEFAULT_CAP)
+    shrub = _reconstruct_checked((x.shrub.labels, num, den))
     return SignedShrub._trusted(x.sign * sign, shrub)
 
 
@@ -179,7 +179,8 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     Each shape other than that of ``x`` is rebuilt once, so an orbit on
     ``s`` shapes costs ``2s`` steps and ``s - 1`` certified rebuilds.
     Members share the labels ``1..n``, so they sort by heights, covers and
-    sign, as by their sort keys.
+    sign, as by their sort keys.  An orbit can hold ``2 (n+1)!`` members,
+    so more than ``cap`` labels raise ``CapExceeded`` before the search.
     """
     n = x.n
     if n > cap:
@@ -201,7 +202,7 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
             elif had != t:
                 closed = True
     shrubs = [x.shrub]
-    shrubs += [_reconstruct_checked((labels, *z), DEFAULT_CAP) for z in queue[1:]]
+    shrubs += [_reconstruct_checked((labels, *z)) for z in queue[1:]]
     ranked = sorted(zip(shrubs, signs.values()), key=lambda m: (m[0]._heights, m[0]._covers))
     trusted = SignedShrub._trusted
     if closed:

@@ -45,7 +45,6 @@ from .mould import (
     fraction_of_shrub,
     kappa,
     mould_compose,
-    shrub_fraction_factors,
     shrub_masks,
     zinb_extract,
 )
@@ -417,10 +416,17 @@ def gamma_morphism(max_n, seed, trials=50):
 
 @_register("zinbiel/injective")
 def gamma_injective(max_n, seed):
+    """``gamma`` is injective on the shrubs on ``1..n``.  No image is kept:
+    shrubs are grouped by the hash of their image, and an image is compared
+    in full only with those of its group, each computed again."""
     for n in range(1, max_n + 1):
-        S = all_shrubs(n)
-        if len({gamma(P) for P in S}) != len(S):
-            return False, f"gamma images collide at n={n}"
+        groups = {}
+        for P in all_shrubs(n):
+            g = gamma(P)
+            group = groups.setdefault(hash(g), [])
+            if any(gamma(Q) == g for Q in group):
+                return False, f"gamma images collide at n={n}"
+            group.append(P)
     return True, f"pairwise distinct for n<={max_n}"
 
 
@@ -556,8 +562,13 @@ def kappa_formula(max_n, seed):
 
 @_register("mould/squarefree")
 def fraction_squarefree(max_n, seed):
+    """The closed formula's factors repeat nothing and cancel nothing.  The
+    check reads the forms of ``fraction_of_shrub``, which are the factors of
+    :func:`shrub_masks` as they are: ``_of_masks`` must leave them
+    uncancelled for this to test anything."""
     for P in _all_upto(max_n):
-        num, den = shrub_fraction_factors(P)
+        f = fraction_of_shrub(P)
+        num, den = f.num, f.den
         if len(set(num)) != len(num) or len(set(den)) != len(den):
             return False, f"repeated factor for {P!r}"
         if set(num) & set(den):
@@ -692,7 +703,7 @@ def random_roundtrip_larger(max_n, seed, trials=12):
     for n in sizes:
         for _ in range(trials):
             P = random_shrub(range(1, n + 1), rng)
-            if reconstruct(fraction_of_shrub(P), cap=n) != P:
+            if reconstruct(fraction_of_shrub(P)) != P:
                 return False, f"roundtrip fails at random {P!r}"
     return True, f"{trials} random shrubs at sizes {sizes}"
 

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="rebuild the shrub of a fraction text file")
     p.add_argument("fraction")
-    p.add_argument("--cap", type=int, default=6)
 
     p = sub.add_parser("act", help="apply a permutation of 0..n to a signed shrub")
     p.add_argument("perm", help="one-line notation, e.g. 1,0,2")
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
             from .reconstruction import reconstruct
 
             with open(args.fraction) as fh:
-                print(reconstruct(parse_fraction(fh.read()), cap=args.cap).to_json())
+                print(reconstruct(parse_fraction(fh.read())).to_json())
         elif args.command == "act":
             from .anticyclic import act
 

@@ -681,16 +681,6 @@ def _mask_text(labels, num, den) -> str:
     return f"{num_text}/({den_text})" if len(den) > 1 else f"{num_text}/{den_text}"
 
 
-def shrub_fraction_factors(P: Shrub):
-    """Numerator and denominator factor lists of the closed formula.
-
-    The linear forms of :func:`shrub_masks`, unreduced, so callers can
-    check that they already share nothing.
-    """
-    num, den = shrub_masks(P)
-    return list(_forms(P.labels, num)), list(_forms(P.labels, den))
-
-
 def fraction_of_shrub(P: Shrub) -> FactoredFraction:
     """The closed-formula fraction of a shrub (reduced, squarefree).
 

@@ -18,13 +18,13 @@ for covers:
 That reading is taken whenever the total degree is minus the number of
 labels, and its result counts only once it is a shrub (no forbidden
 pattern) whose masks reproduce the fraction.  A fraction that reading
-refuses, or one on more than ``cap`` labels, goes to a walk that names the
-fault without building anything (see :func:`_name_fault`): it splits the
-labels into connected pieces, reads the roots of each piece off the same
-counts (:func:`_heights`), and strips or splits, on an explicit stack.  No
-compatible order is enumerated and nothing recurses, so the work is
-polynomial in the number of labels.  A fraction outside the image always
-raises ``NotInImage``.
+refuses goes to a walk that names the fault without building anything (see
+:func:`_name_fault`): it splits the labels into connected pieces, reads the
+roots of each piece off the same counts (:func:`_heights`), and strips or
+splits, on an explicit stack.  No compatible order is enumerated and
+nothing recurses, so the work is polynomial in the number of labels and
+needs no size cap.  A fraction outside the image always raises
+``NotInImage``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import operator
 from .core import Shrub, _bits, _find_pattern, label_key
 from .errors import CapExceeded, NotInImage
 from .mould import FactoredFraction, _form_text, shrub_masks
-
-DEFAULT_CAP = 6
 
 
 class _Weighted(int):
@@ -74,20 +72,15 @@ def fraction_components(f: FactoredFraction) -> tuple:
     )
 
 
-def recover_heights(f: FactoredFraction, labels=None, cap: int = DEFAULT_CAP) -> dict:
-    """Height map of the underlying shrub.
+def recover_heights(f: FactoredFraction) -> dict:
+    """Height map of the shrub of ``f``, ``reconstruct(f).height_map``.
 
-    Read off the certified reconstruction: the height of a label is the
-    number of denominator factors containing it, minus the number of
-    numerator factors containing it, minus 1 (:func:`_heights`); no order
-    is enumerated.  ``labels`` must be the labels of ``f``.
+    The height of a label is the number of denominator factors containing
+    it, minus the number of numerator factors containing it, minus 1
+    (:func:`_heights`), read off the certified reconstruction; no order is
+    enumerated.
     """
-    labels = frozenset(f.labels if labels is None else labels)
-    if len(labels) > cap:
-        raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")
-    if labels != f.labels:
-        raise NotInImage("the labels differ from those of the fraction")
-    return reconstruct(f, cap).height_map
+    return reconstruct(f).height_map
 
 
 def _record(f: FactoredFraction) -> tuple:
@@ -183,7 +176,7 @@ def _split(masks, parts, labels, where) -> list:
     return out
 
 
-def _name_fault(record: tuple, cap: int) -> None:
+def _name_fault(record: tuple) -> None:
     """Raise the first fault of a record, or return ``None`` if it has none.
 
     The labels are split into connected pieces read off the denominator
@@ -196,8 +189,7 @@ def _name_fault(record: tuple, cap: int) -> None:
     unique numerator factor containing them all, whose complement is the
     upper part of a graft.  Pieces are visited with an explicit stack,
     lower before upper and components by least label, and nothing is
-    built.  A connected piece of more than ``cap`` labels raises
-    ``CapExceeded``.
+    built.
     """
     labels, num, den = record
     n = len(labels)
@@ -226,9 +218,6 @@ def _name_fault(record: tuple, cap: int) -> None:
             if num or den != [part]:
                 raise NotInImage("a single-vertex fraction must be 1/u")
             continue
-        size = part.bit_count()
-        if size > cap:
-            raise CapExceeded(f"{size} labels exceed the extraction cap {cap}")
         grows = part & under[base]
         if grows:
             label = labels[(grows & -grows).bit_length() - 1]
@@ -296,17 +285,16 @@ def _read_parts(num, den, n) -> tuple | None:
 # without limit.  1024 still holds one whole orbit at the default orbit cap 5
 # (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
 @functools.lru_cache(maxsize=1024)
-def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
+def _reconstruct_checked(record: tuple) -> Shrub:
     """The shrub of a ``(labels, num masks, den masks)`` record (sign +1,
     scalar 1), certified by comparing its own masks with the record's.
 
     A record of degree ``-n`` on ``n > 0`` labels is read directly
     (:func:`_read_parts`).  When that reading is not a shrub with these
-    masks, or ``n > cap``, :func:`_name_fault` looks for the fault.  A
-    record the walk passes describes a union/graft closure of single
-    vertices, which is a shrub; it has the record's masks exactly when the
-    reading certifies, so a refused record without a fault still raises
-    ``NotInImage``."""
+    masks, :func:`_name_fault` looks for the fault.  A record the walk
+    passes describes a union/graft closure of single vertices, which is a
+    shrub; it has the record's masks exactly when the reading certifies, so
+    a refused record without a fault still raises ``NotInImage``."""
     labels, num, den = record
     n = len(labels)
     shrub = None
@@ -316,19 +304,24 @@ def _reconstruct_checked(record: tuple, cap: int) -> Shrub:
             shrub = Shrub._from_parts(labels, *parts)
             if shrub_masks(shrub) != (num, den):
                 shrub = None
-    if shrub is None or n > cap:
-        _name_fault(record, cap)
-        if shrub is None:
-            raise NotInImage("the rebuilt shrub does not reproduce the fraction")
+    if shrub is None:
+        _name_fault(record)
+        raise NotInImage("the rebuilt shrub does not reproduce the fraction")
     return shrub
 
 
-def reconstruct(f: FactoredFraction, cap: int = DEFAULT_CAP) -> Shrub:
+def reconstruct(f: FactoredFraction, cap: int | None = None) -> Shrub:
     """The unique shrub whose fraction is ``f``; ``NotInImage`` otherwise.
 
     The final result is always verified against the closed-formula
-    forward map, :func:`shrub_masks`.
+    forward map, :func:`shrub_masks`.  Reading is polynomial at any size;
+    a ``cap``, when given, refuses a fraction on more than ``cap`` labels
+    with ``CapExceeded`` before it is read.
     """
     if f.sign != 1 or f.scalar != 1:
         raise NotInImage("a shrub fraction has sign +1 and scalar 1")
-    return _reconstruct_checked(_record(f), cap)
+    record = _record(f)
+    n = len(record[0])
+    if cap is not None and n > cap:
+        raise CapExceeded(f"{n} labels exceed the reconstruction cap {cap}")
+    return _reconstruct_checked(record)

@@ -1,8 +1,19 @@
-"""Shapes and probes shared by several test modules."""
+"""Shapes, probes and checks shared by several test modules."""
 
 import sys
 
-from shrubs import Shrub
+from shrubs import LinearForm, Shrub, deformed_generators
+
+# the published 6-vertex fraction
+FIG2_TEXT = (
+    "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
+    "(uB)(uE)(uE+uF+uG)(uF)(uG))"
+)
+
+
+def form(*pairs):
+    """The linear form with these ``(label, coefficient)`` pairs."""
+    return LinearForm(tuple(pairs))
 
 
 def chain(n):
@@ -16,3 +27,17 @@ def stack_depth():
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     return depth
+
+
+def assert_deformed_relations(coeffs):
+    """The deformed generators for ``coeffs``: ``C`` is symmetric and
+    associative, and ``D`` satisfies the graft relation."""
+    C, D = deformed_generators(coeffs)
+    assert C == C.relabel({1: 2, 2: 1})
+    left = C.relabel({1: "*", 2: 3}).compose_at("*", C)
+    right = C.relabel({2: "*"}).compose_at("*", C.relabel({1: 2, 2: 3}))
+    assert left == right
+    a = D.relabel({1: "*", 2: 1}).compose_at("*", D.relabel({1: 3, 2: 2}))
+    b = D.relabel({1: "*"}).compose_at("*", D.relabel({1: 3, 2: 1}))
+    c = D.relabel({1: 3, 2: "*"}).compose_at("*", C)
+    assert a == b and b == c

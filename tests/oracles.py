@@ -364,14 +364,12 @@ def _split_by_support(forms, left, right):
     return out_left, out_right
 
 
-def _oracle_connected(f: FactoredFraction, labels, cap) -> Shrub:
+def _oracle_connected(f: FactoredFraction, labels) -> Shrub:
     if len(labels) == 1:
         (a,) = labels
         if f.num or f.den != (LinearForm(((a, 1),)),):
             raise NotInImage("a single-vertex fraction must be 1/u")
         return trivial_shrub(a)
-    if len(labels) > cap:
-        raise CapExceeded(f"{len(labels)} labels exceed the extraction cap {cap}")
     roots = _oracle_roots(f, labels)
     full = LinearForm.sum_of(labels)
     if full not in f.den:
@@ -383,7 +381,7 @@ def _oracle_connected(f: FactoredFraction, labels, cap) -> Shrub:
         rest = FactoredFraction(f.sign, f.scalar, f.num, den)
         if i in rest.labels:
             raise NotInImage(f"u{i} survives after stripping the root factor")
-        return graft(trivial_shrub(i), _oracle_rebuild(rest, labels - {i}, cap))
+        return graft(trivial_shrub(i), _oracle_rebuild(rest, labels - {i}))
     root_set = frozenset(roots)
     candidates = [g for g in f.num if root_set <= g.support()]
     if len(candidates) != 1:
@@ -401,10 +399,10 @@ def _oracle_connected(f: FactoredFraction, labels, cap) -> Shrub:
     den_q, den_r = _split_by_support(den, q_labels, r_labels)
     fq = FactoredFraction(f.sign, f.scalar, num_q, den_q)
     fr = FactoredFraction(1, 1, num_r, den_r)
-    return graft(_oracle_rebuild(fq, q_labels, cap), _oracle_rebuild(fr, r_labels, cap))
+    return graft(_oracle_rebuild(fq, q_labels), _oracle_rebuild(fr, r_labels))
 
 
-def _oracle_rebuild(f: FactoredFraction, labels, cap) -> Shrub:
+def _oracle_rebuild(f: FactoredFraction, labels) -> Shrub:
     if not labels:
         raise NotInImage("no labels to reconstruct from")
     parts = oracle_components(f)
@@ -412,7 +410,7 @@ def _oracle_rebuild(f: FactoredFraction, labels, cap) -> Shrub:
     if covered != labels:
         raise NotInImage("some label appears in no denominator factor")
     if len(parts) == 1:
-        return _oracle_connected(f, labels, cap)
+        return _oracle_connected(f, labels)
     num_by_part = {p: [] for p in parts}
     den_by_part = {p: [] for p in parts}
     for source, sink in ((f.num, num_by_part), (f.den, den_by_part)):
@@ -430,17 +428,20 @@ def _oracle_rebuild(f: FactoredFraction, labels, cap) -> Shrub:
             num_by_part[p],
             den_by_part[p],
         )
-        pieces.append(_oracle_rebuild(piece_fraction, p, cap))
+        pieces.append(_oracle_rebuild(piece_fraction, p))
     return functools.reduce(disjoint_union, pieces)
 
 
-def oracle_reconstruct(f: FactoredFraction, cap: int = 6) -> Shrub:
+def oracle_reconstruct(f: FactoredFraction, cap: int | None = None) -> Shrub:
     """``reconstruct`` on factored fractions: validated grafts and disjoint
     unions, certified by :func:`oracle_fraction`; the same checks, in the
     same order, with the same exceptions and messages."""
     if f.sign != 1 or f.scalar != 1:
         raise NotInImage("a shrub fraction has sign +1 and scalar 1")
-    shrub = _oracle_rebuild(f, frozenset(f.labels), cap)
+    labels = frozenset(f.labels)
+    if cap is not None and len(labels) > cap:
+        raise CapExceeded(f"{len(labels)} labels exceed the reconstruction cap {cap}")
+    shrub = _oracle_rebuild(f, labels)
     if oracle_fraction(shrub) != f:
         raise NotInImage("the rebuilt shrub does not reproduce the fraction")
     return shrub

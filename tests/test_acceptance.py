@@ -21,6 +21,7 @@ from shrubs import (
     reconstruct,
 )
 
+from helpers import FIG2_TEXT, assert_deformed_relations
 from properties import holds
 
 
@@ -42,7 +43,7 @@ def test_01_connected_isomorphism_classes_on_five_vertices():
 
 
 def test_02_enumeration_cross_check():
-    with criterion(2, "generator-closure enumeration equals brute force, n = 1..5"):
+    with criterion(2, "brute-force enumeration equals building by the union/graft decomposition, n = 1..5"):
         holds("operad/enumeration-agreement")
 
 
@@ -64,12 +65,6 @@ def test_05_order_morphism():
 def test_06_mould_formula():
     with criterion(6, "compositional fraction equals the closed formula n <= 5; reduced and squarefree n <= 6"):
         holds("mould/closed-formula", "mould/squarefree")
-
-
-FIG2_TEXT = (
-    "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
-    "(uB)(uE)(uE+uF+uG)(uF)(uG))"
-)
 
 
 def test_07_published_fraction_vector():
@@ -113,15 +108,7 @@ def test_12_series_parallel_cross_check():
 def test_13_deformation():
     with criterion(13, "deformed generators: associative, satisfy the graft relation; t = 1 is undeformed"):
         for coeffs in ((1,), (0, 1), (1, 1)):
-            C, D = deformed_generators(coeffs)
-            assert C == C.relabel({1: 2, 2: 1})
-            left = C.relabel({1: "*", 2: 3}).compose_at("*", C)
-            right = C.relabel({2: "*"}).compose_at("*", C.relabel({1: 2, 2: 3}))
-            assert left == right
-            a = D.relabel({1: "*", 2: 1}).compose_at("*", D.relabel({1: 3, 2: 2}))
-            b = D.relabel({1: "*"}).compose_at("*", D.relabel({1: 3, 2: 1}))
-            c = D.relabel({1: 3, 2: "*"}).compose_at("*", C)
-            assert a == b and b == c
+            assert_deformed_relations(coeffs)
         C1, D1 = deformed_generators((1,))
         assert C1 == RationalFunction.from_mould(
             MouldElement.from_fraction(kappa(pair_generator(1, 2)))

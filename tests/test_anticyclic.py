@@ -24,6 +24,7 @@ from shrubs import anticyclic
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
+from helpers import chain
 from oracles import oracle_act, oracle_orbit
 from properties import holds
 
@@ -64,6 +65,10 @@ class TestAct:
 
     def test_zero_fixing_is_relabeling(self):
         holds("anticyclic/relabeling")
+        # past the size any check enumerates: a rebuild has no size cap
+        sigma = (0, 2, 1, 3, 4, 5, 6, 7)
+        want = chain(7).relabel({k: sigma[k] for k in range(1, 8)})
+        assert act(sigma, signed(chain(7))) == signed(want)
 
     def test_closure_exhaustive(self):
         holds("anticyclic/closure")
@@ -151,6 +156,9 @@ class TestOrbits:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             orbit(signed(trivial_shrub(1)), cap=0)
+        # at a raised cap, the rebuilds take any size
+        x = signed(Shrub(range(1, 8), {v: 0 for v in range(1, 8)}, []))
+        assert orbit(x, cap=7) == tuple(sorted(oracle_orbit(x), key=SignedShrub.sort_key))
 
     def test_invariants_constant_small(self):
         holds("anticyclic/orbit-invariants")

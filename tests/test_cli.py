@@ -69,10 +69,16 @@ class TestCli:
         assert "HeightJump" in err
 
     def test_usage_error_exit_2(self, capsys):
-        # a missing --n, and the removed --oracle and --cap switches
-        for extra in ([], ["--n", "4", "--oracle", "generators"], ["--n", "4", "--cap", "7"]):
+        # a missing --n, and the removed switches: enumerate --oracle and
+        # --cap, reconstruct --cap
+        for argv in (
+            ["enumerate"],
+            ["enumerate", "--n", "4", "--oracle", "generators"],
+            ["enumerate", "--n", "4", "--cap", "7"],
+            ["reconstruct", "frac.txt", "--cap", "6"],
+        ):
             with pytest.raises(SystemExit) as info:
-                main(["enumerate", *extra])
+                main(argv)
             assert info.value.code == 2
 
     def test_enumerate_fig_count(self, capsys):
@@ -129,6 +135,12 @@ class TestCli:
         out = run(capsys, "reconstruct", str(canonical))
         assert out == (0, graft_generator(2, 1).to_json() + "\n", "")
         assert run(capsys, "reconstruct", str(spelled)) == out
+
+    def test_reconstruct_seven_labels(self, capsys, tmp_path):
+        # reading is polynomial, so no size is refused
+        ffile = tmp_path / "frac.txt"
+        ffile.write_text(format_fraction(fraction_of_shrub(chain(7))))
+        assert run(capsys, "reconstruct", str(ffile)) == (0, chain(7).to_json() + "\n", "")
 
     def test_reconstruct_error_names_the_failure(self, capsys, tmp_path):
         ffile = tmp_path / "frac.txt"
@@ -312,7 +324,7 @@ class TestMalformedInput:
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(FactoredFraction(f.sign, f.scalar, f.num, f.den + (extra,))))
         start = time.perf_counter()
-        err = self.check_clean_failure("reconstruct", str(path), "--cap", "1000")
+        err = self.check_clean_failure("reconstruct", str(path))
         assert time.perf_counter() - start < 10
         assert err == "NotInImage: no label can start a compatible order\n"
 
@@ -387,7 +399,7 @@ class TestMalformedInput:
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(fraction_of_shrub(chain(150))))
         code, out, err = self.run_limited(
-            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
+            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path)
         )
         assert (code, out, err) == (0, chain(150).to_json() + "\n", "")
 
@@ -399,7 +411,7 @@ class TestMalformedInput:
         path = tmp_path / "frac.txt"
         path.write_text(format_fraction(FactoredFraction(f.sign, f.scalar, f.num, f.den + (extra,))))
         code, out, err = self.run_limited(
-            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path), "--cap", "150"
+            capsys, monkeypatch, reconstruction, "reconstruct", "reconstruct", str(path)
         )
         assert (code, out, err) == (1, "", "NotInImage: no label can start a compatible order\n")
 

@@ -29,18 +29,9 @@ from shrubs.checks import all_shrubs, random_shrub
 from shrubs.mould import shrub_masks
 from shrubs.reconstruction import _name_fault, _read_parts, _record, _Weighted
 
-from helpers import chain, stack_depth
+from helpers import FIG2_TEXT, chain, form, stack_depth
 from oracles import oracle_components, oracle_reconstruct, outcome
 from properties import holds
-
-FIG2_TEXT = (
-    "(uB+uE+uF+uG)(uF+uG)/((uA)(uA+uB+uC+uE+uF+uG)(uA+uB+uE+uF+uG)"
-    "(uB)(uE)(uE+uF+uG)(uF)(uG))"
-)
-
-
-def form(*pairs):
-    return LinearForm(tuple(pairs))
 
 
 class TestComponents:
@@ -176,7 +167,7 @@ class TestDirectReading:
     def direct_only(self, monkeypatch):
         """``checked``, failing if the record reaches the fault walk."""
 
-        def refuse(record, cap):
+        def refuse(record):
             raise AssertionError(f"the fault walk was asked for {record!r}")
 
         monkeypatch.setattr(reconstruction, "_name_fault", refuse)
@@ -184,8 +175,8 @@ class TestDirectReading:
 
     def assert_read_directly(self, direct_only, P):
         record = fraction_of_shrub(P)._masks
-        assert direct_only(record, len(P)) == P
-        assert _name_fault(record, len(P)) is None
+        assert direct_only(record) == P
+        assert _name_fault(record) is None
 
     def test_every_shrub_up_to_five(self, direct_only):
         for n in range(1, 6):
@@ -208,7 +199,7 @@ class TestDirectReading:
 
     def test_long_chain(self, direct_only):
         P = chain(1000)
-        assert direct_only(fraction_of_shrub(P)._masks, 1000) == P
+        assert direct_only(fraction_of_shrub(P)._masks) == P
 
     def test_refused_long_chain(self):
         # the fault walk keeps no frame per level: one factor too many on a
@@ -219,21 +210,21 @@ class TestDirectReading:
         sys.setrecursionlimit(stack_depth() + 30)
         try:
             with pytest.raises(NotInImage, match="^no label can start a compatible order$"):
-                checked(record, 1000)
+                checked(record)
         finally:
             sys.setrecursionlimit(saved)
 
     @staticmethod
-    def same_outcome(f, cap):
-        got = outcome(checked, _record(f), cap)
-        assert got == outcome(oracle_reconstruct, f, cap)
+    def same_outcome(f):
+        got = outcome(checked, _record(f))
+        assert got == outcome(oracle_reconstruct, f)
         return got
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_perturbed_random_shrubs(self, n):
         # deep walks: a shrub fraction with one factor dropped, one factor
         # copied to a random side, or one random subset sum added to a
-        # random side; at cap n - 2 the walk raises CapExceeded partway
+        # random side
         rng = random.Random(2000 + n)
         kinds = set()
         for _ in range(250):
@@ -249,9 +240,8 @@ class TestDirectReading:
             for k, drop, g in changes:
                 sides = [list(f.num), list(f.den)]
                 (sides[k].remove if drop else sides[k].append)(g)
-                for cap in (n, n - 2):
-                    kinds.add(self.same_outcome(FactoredFraction(f.sign, f.scalar, *sides), cap)[0])
-        assert kinds == {"ok", NotInImage, CapExceeded}
+                kinds.add(self.same_outcome(FactoredFraction(f.sign, f.scalar, *sides))[0])
+        assert kinds == {"ok", NotInImage}
 
     def test_weighted_factor(self):
         # right degree, and read as the edge 2 - 1; the factor u1+2*u2 only
@@ -260,12 +250,12 @@ class TestDirectReading:
         record = _record(f)
         assert isinstance(record[2][1], _Weighted)
         assert _read_parts(record[1], record[2], 2) == ((1, 0), (2, 0))
-        assert self.same_outcome(f, 6)[0] is NotInImage
+        assert self.same_outcome(f)[0] is NotInImage
         # a weighted graft factor counts by its support, so the walk finds
         # no fault; the record is refused all the same
         f = parse_fraction("(2*u1+u2)/((u1)(u2)(u3)(u1+u2+u3))")
-        assert _name_fault(_record(f), 6) is None
-        assert self.same_outcome(f, 6) == (NotInImage, "the rebuilt shrub does not reproduce the fraction")
+        assert _name_fault(_record(f)) is None
+        assert self.same_outcome(f) == (NotInImage, "the rebuilt shrub does not reproduce the fraction")
 
     def test_first_fault_in_walk_order(self):
         # two faults: the component with the least label, the lower part of
@@ -282,18 +272,26 @@ class TestDirectReading:
                 "factor u2+u3 straddles the graft split",
             ),
         ):
-            assert self.same_outcome(parse_fraction(text), 6) == (NotInImage, message)
+            assert self.same_outcome(parse_fraction(text)) == (NotInImage, message)
 
     def test_empty_fraction(self):
         f = FactoredFraction.one()
         assert _record(f) == ((), (), ())
-        assert self.same_outcome(f, 6) == (NotInImage, "no labels to reconstruct from")
+        assert self.same_outcome(f) == (NotInImage, "no labels to reconstruct from")
 
     def test_more_labels_than_cap(self):
-        assert self.same_outcome(fraction_of_shrub(chain(7)), 6)[0] is CapExceeded
-        # a forest whose pieces fit under the cap is returned
+        # a cap below the label count refuses up front: a forest whose pieces
+        # would each fit, and a record the walk would refuse, too
         points = Shrub(range(7), {v: 0 for v in range(7)}, [])
-        assert self.same_outcome(fraction_of_shrub(points), 6) == ("ok", points)
+        f = fraction_of_shrub(chain(7))
+        faulty = FactoredFraction(f.sign, f.scalar, f.num, f.den + (LinearForm.sum_of((6, 7)),))
+        refused = (CapExceeded, "7 labels exceed the reconstruction cap 6")
+        for g in (f, fraction_of_shrub(points), faulty):
+            assert outcome(reconstruct, g, 6) == outcome(oracle_reconstruct, g, 6) == refused
+        # without a cap, fractions of any size are read
+        assert self.same_outcome(f) == ("ok", chain(7))
+        assert self.same_outcome(fraction_of_shrub(points)) == ("ok", points)
+        assert self.same_outcome(faulty) == (NotInImage, "no label can start a compatible order")
 
     def test_right_degree_but_not_a_shrub(self):
         # 4 covers {1, 2} and 5 covers {1, 3}: an F5, whose own masks the
@@ -310,7 +308,7 @@ class TestDirectReading:
         S = Unchecked()
         S.labels, S._heights, S._covers = labels, heights, covers
         assert shrub_masks(S) == (num, den)
-        assert self.same_outcome(f, 6)[0] is NotInImage
+        assert self.same_outcome(f)[0] is NotInImage
 
 
 # -- fuzzing against the linear-form oracle -------------------------------------

@@ -20,7 +20,7 @@ from shrubs import (
     trivial_shrub,
     zinb_compose,
 )
-from shrubs import zinbiel
+from shrubs import checks, zinbiel
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded
 
@@ -104,6 +104,16 @@ class TestGamma:
 
     def test_injective_small(self):
         holds("zinbiel/injective")
+
+    def test_injective_compares_images_in_full(self, monkeypatch):
+        # every image in one hash group: the full comparisons still pass
+        monkeypatch.setattr(ZinbElement, "__hash__", lambda self: 0)
+        assert checks.gamma_injective(4, 0) == (True, "pairwise distinct for n<=4")
+        monkeypatch.undo()
+        # two shrubs given one image: the collision is found
+        edge = graft_generator(1, 2)
+        monkeypatch.setattr(checks, "gamma", lambda P: gamma(edge if P == graft_generator(2, 1) else P))
+        assert checks.gamma_injective(4, 0) == (False, "gamma images collide at n=2")
 
     def test_forest_orders_are_linear_extensions(self):
         holds("zinbiel/forest-linear-extensions")
