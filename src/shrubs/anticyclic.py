@@ -12,15 +12,19 @@ of :func:`shrub_masks`.  With ``k0 = sigma^-1(0)``, a factor over ``S``
 maps to the sum over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when
 ``k0`` is in ``S`` it maps to minus the sum over the complement of
 ``sigma(S - {k0})``.  So the action never leaves 0/1 sums: :func:`act` and
-:func:`orbit` map unsigned shapes, the ``(num masks, den masks)`` pairs, to
-a sign change and a shape, and rebuild a shrub from the masks of each
+:func:`orbit` map signed shapes, a sign and the ``(num masks, den masks)``
+pair, to a sign and a shape, and rebuild a shrub from the masks of each
 result, through the cache behind :func:`reconstruct`.  No factored
 fraction is built.  :func:`orbit` closes the shape of ``x`` under two
 generators of the whole group, the transposition ``(0 1)`` and the cycle
-``k -> k+1 mod n+1``.  The action is linear, so an orbit either holds both
-signs of each of its shapes or one sign of each: an orbit of ``m`` members
-on ``s`` shapes, ``s = m/2`` when sign-closed, costs ``2s`` steps and
-``s - 1`` rebuilds.
+``k -> k+1 mod n+1``, whose mask tables are built once per ``n`` and
+shared by every orbit (at most ``2^n - 1`` images each, for at most 16
+values of ``n``).  The action is linear, so an orbit either holds both
+signs of each of its shapes or one sign of each.  ``(0 1)`` is an
+involution, so a shape first reached through it is not stepped through it
+again: an orbit of ``m`` members on ``s`` shapes, ``s = m/2`` when
+sign-closed, ``r`` of them first reached through ``(0 1)``, costs
+``2s - r`` steps and ``s - 1`` rebuilds.
 
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
@@ -29,6 +33,7 @@ sign; :func:`forest_act` computes it there and agrees with :func:`act`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -116,9 +121,11 @@ def _check_permutation(sigma, n):
 
 class _SubsetAction(dict):
     """``sigma`` acting on the 0/1 factor over a label set, as
-    ``mask -> (image mask, sign)``; bit ``k - 1`` stands for label ``k``, as
-    in :func:`shrub_masks` over ``1..n``.  Images are computed on first use
-    and kept, so a repeated mask costs one dict lookup."""
+    ``mask -> image mask``; bit ``k - 1`` stands for label ``k``, as in
+    :func:`shrub_masks` over ``1..n``.  A factor over a set holding
+    ``k0 = sigma^-1(0)``, bit ``drop``, maps to minus its image, so a
+    fraction changes sign once per such factor.  Images are computed on
+    first use and kept, so a repeated mask costs one dict lookup."""
 
     __slots__ = ("sigma", "full", "drop")
 
@@ -130,27 +137,44 @@ class _SubsetAction(dict):
         out = 0
         for i in _bits(mask & ~self.drop):
             out |= 1 << (self.sigma[i + 1] - 1)
-        hit = self[mask] = (self.full ^ out, -1) if mask & self.drop else (out, 1)
-        return hit
+        image = self[mask] = self.full ^ out if mask & self.drop else out
+        return image
 
 
-def _step(image, shape):
-    """Apply a subset action to a ``(num masks, den masks)`` shape; returns
-    ``(sign change, image shape)``.
+@functools.lru_cache(maxsize=16)
+def _generators(n):
+    """The subset actions of ``(0 1)`` and ``k -> k+1 mod n+1`` on ``1..n``,
+    shared by every orbit on ``n`` labels; each fills as its masks are met,
+    so it holds at most ``2^n - 1`` images."""
+    swap, cycle = (1, 0, *range(2, n + 1)), (*range(1, n + 1), 0)
+    return _SubsetAction(swap, n), _SubsetAction(cycle, n)
+
+
+def _step(image, signs, shapes):
+    """Apply a subset action to signed shapes, ``signs[i]`` times the
+    fraction of the ``(num masks, den masks)`` pair ``shapes[i]``; returns
+    the signs and the shapes of the images, as two lists.
 
     The action is an invertible linear map, so distinct factors stay
     distinct and a reduced fraction stays reduced: nothing cancels.
     """
-    sign, out = 1, []
-    for masks in shape:
-        images = []
-        for mask in masks:
-            m, s = image[mask]
-            sign *= s
-            images.append(m)
-        images.sort()
-        out.append(tuple(images))
-    return sign, (out[0], out[1])
+    drop, out_signs, out_shapes = image.drop, [], []
+    for sign, (num, den) in zip(signs, shapes):
+        # bit ``drop`` of the xor of the masks is the parity of the factors
+        # that change sign; plain loops, as CPython 3.11 calls a function
+        # per comprehension
+        parity, num_images, den_images = 0, [], []
+        for mask in num:
+            parity ^= mask
+            num_images.append(image[mask])
+        for mask in den:
+            parity ^= mask
+            den_images.append(image[mask])
+        num_images.sort()
+        den_images.sort()
+        out_signs.append(-sign if parity & drop else sign)
+        out_shapes.append((tuple(num_images), tuple(den_images)))
+    return out_signs, out_shapes
 
 
 def act(sigma, x: SignedShrub) -> SignedShrub:
@@ -162,9 +186,9 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     closure bug, surfaced as ``NotInImage`` by the certified rebuild.
     """
     sigma = _check_permutation(sigma, x.n)
-    sign, (num, den) = _step(_SubsetAction(sigma, x.n), shrub_masks(x.shrub))
+    [sign], [(num, den)] = _step(_SubsetAction(sigma, x.n), [x.sign], [shrub_masks(x.shrub)])
     shrub = _reconstruct_checked((x.shrub.labels, num, den))
-    return SignedShrub._trusted(x.sign * sign, shrub)
+    return SignedShrub._trusted(sign, shrub)
 
 
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
@@ -172,38 +196,51 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
 
     A breadth-first search over unsigned shapes under the transposition
     ``(0 1)`` and the cycle ``k -> k+1 mod n+1``, which generate the group,
-    starting from the shape of ``x``; each shape keeps the sign it was first
-    reached with.  Since ``orbit(-x) = -orbit(x)``, a step that reaches a
-    shape with the other sign makes the orbit sign-closed, holding both
-    signs of every shape; otherwise each shape appears once, with its sign.
-    Each shape other than that of ``x`` is rebuilt once, so an orbit on
-    ``s`` shapes costs ``2s`` steps and ``s - 1`` certified rebuilds.
-    Members share the labels ``1..n``, so they sort by heights, covers and
-    sign, as by their sort keys.  An orbit can hold ``2 (n+1)!`` members,
-    so more than ``cap`` labels raise ``CapExceeded`` before the search.
+    starting from the shape of ``x``, one level at a time; each shape keeps
+    the sign it was first reached with.  Since ``orbit(-x) = -orbit(x)``, a
+    step that reaches a shape with the other sign makes the orbit
+    sign-closed, holding both signs of every shape; otherwise each shape
+    appears once, with its sign.  ``(0 1)`` is an involution, so a shape
+    first reached through it steps back to its parent, with the parent's
+    sign: that step is skipped.  An orbit on ``s`` shapes, ``r`` of them
+    first reached through ``(0 1)``, costs ``2s - r`` steps and ``s - 1``
+    certified rebuilds, one per shape other than that of ``x``.  Members
+    share the labels ``1..n``, so they sort by heights, covers and sign, as
+    by their sort keys.  An orbit can hold ``2 (n+1)!`` members, so more
+    than ``cap`` labels raise ``CapExceeded`` before the search.
     """
     n = x.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the orbit cap {cap}")
     start = shrub_masks(x.shrub)
-    swap, cycle = (1, 0, *range(2, n + 1)), (*range(1, n + 1), 0)
-    generators = [_SubsetAction(g, n) for g in ((swap,) if n == 1 else (swap, cycle))]
-    labels = x.shrub.labels
-    signs, queue, closed = {start: x.sign}, [start], False
-    for shape in queue:
-        sign = signs[shape]
-        for image in generators:
-            t, z = _step(image, shape)
-            t *= sign
-            had = signs.get(z)
+    seen, closed = {start: x.sign}, False
+
+    def visit(image, signs, shapes):
+        """Step signed shapes by ``image``; the signs and shapes first met."""
+        nonlocal closed
+        new_signs, new_shapes = [], []
+        for t, z in zip(*_step(image, signs, shapes)):
+            had = seen.get(z)
             if had is None:
-                signs[z] = t
-                queue.append(z)
+                seen[z] = t
+                new_signs.append(t)
+                new_shapes.append(z)
             elif had != t:
                 closed = True
-    shrubs = [x.shrub]
-    shrubs += [_reconstruct_checked((labels, *z)) for z in queue[1:]]
-    ranked = sorted(zip(shrubs, signs.values()), key=lambda m: (m[0]._heights, m[0]._covers))
+        return new_signs, new_shapes
+
+    swap, cycle = _generators(n)
+    swapped, others = ([], []), ([x.sign], [start])  # this level, split by how first reached
+    while swapped[1] or others[1]:
+        swapped, others = (
+            visit(swap, *others),
+            visit(cycle, swapped[0] + others[0], swapped[1] + others[1]),
+        )
+    labels = x.shrub.labels
+    shapes = iter(seen)
+    next(shapes)  # the shape of x
+    shrubs = [x.shrub, *(_reconstruct_checked((labels, *z)) for z in shapes)]
+    ranked = sorted(zip(shrubs, seen.values()), key=lambda m: (m[0]._heights, m[0]._covers))
     trusted = SignedShrub._trusted
     if closed:
         return tuple(trusted(s, P) for P, _ in ranked for s in (-1, 1))

@@ -659,9 +659,13 @@ def reconstruction_roundtrip(max_n, seed):
 
 @_register("reconstruction/injective")
 def fraction_injective(max_n, seed):
+    """``fraction_of_shrub`` is injective on the shrubs on ``1..n``.  Their
+    fractions share one labels tuple, so their mask records are equal
+    exactly when the fractions are: the records are compared, and no
+    linear form is built."""
     for n in range(1, max_n + 1):
         S = all_shrubs(n)
-        if len({fraction_of_shrub(P) for P in S}) != len(S):
+        if len({fraction_of_shrub(P)._masks for P in S}) != len(S):
             return False, f"fractions collide at n={n}"
     return True, f"pairwise distinct fractions for n<={max_n}"
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+from json.decoder import scanstring
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -63,11 +65,80 @@ def _check_label(label):
 
 
 def parse_json(text: str):
-    """``json.loads``, reporting nesting too deep for the parser as ``ValueError``."""
+    """``json.loads``, for generator words of any depth.
+
+    The stdlib parser recurses on nesting.  Text nested past the
+    interpreter's limit is read again by :func:`_read_word_json`, on an
+    explicit stack; if it is not the JSON of a generator word, it raises
+    ``ValueError: JSON nested too deeply to parse``.
+    """
     try:
         return json.loads(text)
     except RecursionError:
-        raise ValueError("JSON nested too deeply to parse") from None
+        obj = _read_word_json(text)
+    if obj is None:
+        raise ValueError("JSON nested too deeply to parse")
+    return obj
+
+
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
+_read_scalar = json.JSONDecoder().raw_decode  # a string, number or literal at an index
+
+
+def _read_word_json(text: str):
+    """``json.loads(text)`` on an explicit stack, for the JSON of a
+    generator word: an object whose ``"args"`` is a list of labels and
+    words, and whose other values are scalars.  ``None`` for any other
+    text, malformed JSON included."""
+    skip = _SPACE.match
+    i = skip(text).end()
+    if not text.startswith("{", i):
+        return None
+    word = {}
+    stack = [word]  # open containers, innermost last
+    i, after_entry = skip(text, i + 1).end(), False
+    while stack:
+        top = stack[-1]
+        if text.startswith("}" if type(top) is dict else "]", i):
+            stack.pop()
+            i, after_entry = skip(text, i + 1).end(), True
+            continue
+        if after_entry:
+            if not text.startswith(",", i):
+                return None
+            i = skip(text, i + 1).end()
+        key = None
+        if type(top) is dict:
+            if not text.startswith('"', i):
+                return None
+            try:
+                key, i = scanstring(text, i + 1)
+            except ValueError:
+                return None
+            i = skip(text, i).end()
+            if not text.startswith(":", i):
+                return None
+            i = skip(text, i + 1).end()
+        # a list holds words, and only an object's "args" holds a list
+        opener = "{" if key is None else "[" if key == "args" else None
+        if opener and text.startswith(opener, i):
+            value = {} if opener == "{" else []
+            i, after_entry = skip(text, i + 1).end(), False
+        elif text.startswith(("{", "["), i):
+            return None
+        else:
+            try:
+                value, i = _read_scalar(text, i)
+            except ValueError:
+                return None
+            i, after_entry = skip(text, i).end(), True
+        if key is None:
+            top.append(value)
+        else:
+            top[key] = value
+        if not after_entry:
+            stack.append(value)
+    return word if i == len(text) else None
 
 
 def _bits(mask):

@@ -239,6 +239,62 @@ class TestSignsAndShapes:
         assert (720, True) in sizes
 
 
+class TestGeneratorTables:
+    """``orbit`` steps shapes through one pair of subset-action tables per
+    label count, built once and shared by every call."""
+
+    def test_orbits_across_sizes_in_one_process(self):
+        anticyclic._generators.cache_clear()
+        rng = random.Random(24)
+        for n in (3, 5, 1, 4, 5, 2):
+            x = signed(random_shrub(range(1, n + 1), rng), rng.choice((1, -1)))
+            assert orbit(x) == tuple(sorted(oracle_orbit(x), key=SignedShrub.sort_key))
+
+    def test_act_leaves_the_tables_alone(self):
+        for n in range(1, 5):
+            orbit(signed(chain(n)))
+        tables = {n: anticyclic._generators(n) for n in range(1, 5)}
+        before = {n: [dict(t) for t in pair] for n, pair in tables.items()}
+        for n in range(1, 4):
+            for x in all_signed(n):
+                for sigma in itertools.permutations(range(n + 1)):
+                    act(sigma, x)
+        assert all(anticyclic._generators(n) is pair for n, pair in tables.items())
+        assert {n: [dict(t) for t in pair] for n, pair in tables.items()} == before
+
+    def test_bounded(self):
+        maxsize = anticyclic._generators.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, maxsize + 5):
+            anticyclic._generators(n)  # tables fill lazily: building one is cheap
+        assert anticyclic._generators.cache_info().currsize == maxsize
+
+    def test_refusals_come_first(self):
+        anticyclic._generators.cache_clear()
+        with pytest.raises(ValueError, match="the empty shrub has no fraction"):
+            orbit(SignedShrub(1, Shrub([], {}, [])))
+        with pytest.raises(CapExceeded):
+            orbit(SignedShrub(1, Shrub([], {}, [])), cap=-1)
+        with pytest.raises(CapExceeded):
+            orbit(signed(chain(6)))
+        assert anticyclic._generators.cache_info().currsize == 0
+
+    def test_no_step_back_through_the_swap(self, monkeypatch):
+        steps = []
+        step = anticyclic._step
+
+        def counted(image, signs, shapes):
+            steps.append(len(shapes))
+            return step(image, signs, shapes)
+
+        monkeypatch.setattr(anticyclic, "_step", counted)
+        members = orbit(signed(chain(5)))
+        shapes = len({y.shrub for y in members})
+        assert (len(members), shapes) == (720, 360)
+        # every shape steps through the cycle, and not every one through (0 1)
+        assert shapes <= sum(steps) < 2 * shapes
+
+
 class TestInvariant:
     def test_examples(self):
         assert orbit_invariant(signed(graft_generator(2, 1))) == ((), (1, 1))

@@ -385,14 +385,41 @@ class TestMalformedInput:
         assert out.count('{"gen": "D"') == 4999
 
     def test_evaluate_word_of_5000_levels(self, tmp_path):
-        # the word is read without recursion, but the stdlib JSON parser
-        # refuses nesting this deep, and says so in one line
+        # the stdlib JSON parser refuses nesting this deep, so the word is
+        # read again on an explicit stack
         heads = (f'{{"gen": "D", "slot": "s{k}", "args": [{k}, ' for k in range(5000, 0, -1))
         text = "".join(heads) + "0" + "]}" * 5000
         path = tmp_path / "word.json"
         path.write_text(text)
-        err = self.check_clean_failure("evaluate", str(path))
-        assert err == "MalformedWord: invalid JSON: JSON nested too deeply to parse\n"
+        word = operad.GenWord.leaf(0)
+        for k in range(1, 5001):
+            word = operad.GenWord.node("D", f"s{k}", operad.GenWord.leaf(k), word)
+        code, out, err = run_process("evaluate", str(path))
+        assert (code, err) == (0, "")
+        assert out == operad.evaluate(word).to_json() + "\n"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda text: text[:-1], "MalformedWord: invalid JSON: JSON nested too deeply to parse\n"),
+            (lambda text: text.replace('"D"', '"X"', 1), "MalformedWord: unknown generator 'X'\n"),
+        ],
+        ids=["truncated", "unknown-generator"],
+    )
+    def test_malformed_deep_word(self, tmp_path, fault, message):
+        path = tmp_path / "word.json"
+        path.write_text(fault(operad.decompose(chain(5000)).to_json()))
+        assert self.check_clean_failure("evaluate", str(path)) == message
+
+    def test_chain_of_5000_round_trips(self, tmp_path):
+        shrub, word = tmp_path / "chain.json", tmp_path / "word.json"
+        shrub.write_text(chain(5000).to_json())
+        code, out, err = run_process("decompose", str(shrub))
+        assert (code, err) == (0, "")
+        word.write_text(out)
+        code, out, err = run_process("evaluate", str(word))
+        assert (code, err) == (0, "")
+        assert out == chain(5000).to_json() + "\n"
 
     def test_reconstruct_long_chain(self, capsys, monkeypatch, tmp_path):
         # a shrub fraction is read directly, so 100 frames suffice for 150 levels

@@ -23,6 +23,7 @@ from shrubs import (
     trivial_shrub,
 )
 from shrubs.checks import all_shrubs, random_shrub
+from shrubs.core import _read_word_json
 
 from helpers import chain, stack_depth
 from oracles import (
@@ -351,6 +352,46 @@ json_values = st.recursive(
 @given(json_values)
 def test_word_from_any_json_value_as_the_recursive_reader(obj):
     assert outcome(GenWord.from_json_obj, obj) == outcome(oracle_word_from_json_obj, obj)
+
+
+def in_word_grammar(obj, where="top"):
+    """Whether ``obj`` is what the flat reader reads: an object whose
+    ``"args"`` is a list of scalars and such objects, other values scalars."""
+    if isinstance(obj, dict):
+        return where != "value" and all(in_word_grammar(v, "args" if k == "args" else "value") for k, v in obj.items())
+    if isinstance(obj, list):
+        return where == "args" and all(in_word_grammar(v, "word") for v in obj)
+    return where != "top"
+
+
+REFUSED = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, st.sampled_from((None, 0, 2)), st.data())
+def test_flat_reader_as_json_loads(obj, indent, data):
+    text = json.dumps(obj, indent=indent)
+    if data.draw(st.booleans()):  # one character replaced, mostly malformed
+        k = data.draw(st.integers(0, len(text) - 1))
+        text = text[:k] + data.draw(st.sampled_from('{}[]:," 0x')) + text[k + 1 :]
+    try:
+        want = json.loads(text)
+    except ValueError:
+        want = REFUSED
+    got = _read_word_json(text)
+    if got is None:
+        assert want is REFUSED or not in_word_grammar(want)
+    else:
+        assert want is not REFUSED and json.dumps(got) == json.dumps(want)
+
+
+def test_flat_reader_reads_every_word():
+    assert _read_word_json(decompose(trivial_shrub(1)).to_json()) is None  # a leaf never nests
+    for n in range(2, 5):
+        for P in all_shrubs(n):
+            text = decompose(P).to_json()
+            for spaced in (text, json.dumps(json.loads(text), indent=1)):
+                assert _read_word_json(spaced) == json.loads(text)
 
 
 class TestGeneratorEnumeration:

@@ -24,7 +24,7 @@ from shrubs import (
     recover_heights,
     trivial_shrub,
 )
-from shrubs import reconstruction
+from shrubs import checks, reconstruction
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.mould import shrub_masks
 from shrubs.reconstruction import _name_fault, _read_parts, _record, _Weighted
@@ -78,6 +78,12 @@ class TestReconstruct:
 
     def test_injectivity_of_kappa(self):
         holds("reconstruction/injective")
+
+    def test_injective_finds_a_shared_record(self, monkeypatch):
+        # two shrubs given one fraction: their mask records collide
+        edge = graft_generator(1, 2)
+        monkeypatch.setattr(checks, "fraction_of_shrub", lambda P: fraction_of_shrub(edge if P == graft_generator(2, 1) else P))
+        assert checks.fraction_injective(4, 0) == (False, "fractions collide at n=2")
 
     def test_bruteforce_oracle(self):
         holds("reconstruction/bruteforce-oracle")
