@@ -15,16 +15,18 @@ maps to the sum over ``sigma(S)`` when ``k0`` is 0 or not in ``S``; when
 :func:`orbit` map signed shapes, a sign and the ``(num masks, den masks)``
 pair, to a sign and a shape, and rebuild a shrub from the masks of each
 result, through the cache behind :func:`reconstruct`.  No factored
-fraction is built.  :func:`orbit` closes the shape of ``x`` under two
-generators of the whole group, the transposition ``(0 1)`` and the cycle
-``k -> k+1 mod n+1``, whose mask tables are built once per ``n`` and
-shared by every orbit (at most ``2^n - 1`` images each, for at most 16
-values of ``n``).  The action is linear, so an orbit either holds both
-signs of each of its shapes or one sign of each.  ``(0 1)`` is an
-involution, so a shape first reached through it is not stepped through it
-again: an orbit of ``m`` members on ``s`` shapes, ``s = m/2`` when
-sign-closed, ``r`` of them first reached through ``(0 1)``, costs
-``2s - r`` steps and ``s - 1`` rebuilds.
+fraction is built.  Both step shapes through one kernel, :func:`_step`,
+which reads each mask's image from a plain dict and, on a miss, fills in
+the images of that shape's masks and steps it again.  :func:`orbit` closes
+the shape of ``x`` under two generators of the whole group, the
+transposition ``(0 1)`` and the cycle ``k -> k+1 mod n+1``, whose mask
+tables are made once per ``n`` and shared by every orbit (at most
+``2^n - 1`` images each, for at most 16 values of ``n``).  The action is
+linear, so an orbit either holds both signs of each of its shapes or one
+sign of each.  ``(0 1)`` is an involution, so a shape first reached
+through it is not stepped through it again: an orbit of ``m`` members on
+``s`` shapes, ``s = m/2`` when sign-closed, ``r`` of them first reached
+through ``(0 1)``, costs ``2s - r`` steps and ``s - 1`` rebuilds.
 
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
@@ -37,6 +39,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import add, attrgetter
 from typing import NamedTuple
 
 from .core import Shrub, _bits
@@ -53,6 +56,13 @@ class OrbitInvariant(NamedTuple):
     denominator: tuple
 
 
+def _check_sign(sign):
+    # an int, not True or 1.0, which compare equal to 1 and then print as
+    # true or 1.0 in every member of an orbit
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+
+
 @dataclass(frozen=True)
 class SignedShrub:
     """A shrub on labels ``1..n`` together with a sign."""
@@ -61,8 +71,9 @@ class SignedShrub:
     shrub: Shrub
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(self.sign)
+        if not isinstance(self.shrub, Shrub):
+            raise ValueError(f"a signed shrub holds a Shrub, got {self.shrub!r}")
         n = len(self.shrub)
         if set(self.shrub.labels) != set(range(1, n + 1)):
             raise ValueError("a signed shrub lives on labels 1..n")
@@ -72,8 +83,9 @@ class SignedShrub:
         """A sign of +-1 and a shrub on ``1..n``, unchecked (trusted, like
         ``Shrub._from_parts``)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "shrub", shrub)
+        fields = self.__dict__  # written as unpickling does, past the frozen __setattr__
+        fields["sign"] = sign
+        fields["shrub"] = shrub
         return self
 
     @property
@@ -94,12 +106,10 @@ class SignedShrub:
         if not (isinstance(data, dict) and "sign" in data and "shrub" in data):
             raise ValueError("a signed shrub is a JSON object with keys 'sign' and 'shrub'")
         sign = data["sign"]
-        try:
-            if isinstance(sign, float) and not sign.is_integer():  # 1.5, inf, nan
-                raise ValueError
+        if type(sign) is float and sign.is_integer():  # JSON 1.0 reads as 1
             sign = int(sign)
-        except (TypeError, ValueError):
-            raise ValueError(f"sign must be +1 or -1, got {data['sign']!r}") from None
+        elif type(sign) is not int:  # a JSON boolean, string or null, 1.5, inf, nan
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         return cls(sign, Shrub.from_json_dict(data["shrub"]))
 
 
@@ -119,57 +129,70 @@ def _check_permutation(sigma, n):
     return sigma
 
 
-class _SubsetAction(dict):
-    """``sigma`` acting on the 0/1 factor over a label set, as
-    ``mask -> image mask``; bit ``k - 1`` stands for label ``k``, as in
-    :func:`shrub_masks` over ``1..n``.  A factor over a set holding
-    ``k0 = sigma^-1(0)``, bit ``drop``, maps to minus its image, so a
-    fraction changes sign once per such factor.  Images are computed on
-    first use and kept, so a repeated mask costs one dict lookup."""
+class _SubsetAction:
+    """``sigma`` acting on the 0/1 factor over a label set, as the plain
+    dict ``images`` of ``mask -> image mask``; bit ``k - 1`` stands for
+    label ``k``, as in :func:`shrub_masks` over ``1..n``.  A factor over a
+    set holding ``k0 = sigma^-1(0)``, bit ``drop``, maps to minus its
+    image, so a fraction changes sign once per such factor.  ``images``
+    starts empty and :meth:`fill` adds the masks of a shape when one of them
+    is first missed, so it holds at most ``2^n - 1`` images and a repeated
+    mask costs one dict lookup."""
 
-    __slots__ = ("sigma", "full", "drop")
+    __slots__ = ("images", "sigma", "full", "drop")
 
     def __init__(self, sigma, n):
         k0 = sigma.index(0)
-        self.sigma, self.full, self.drop = sigma, (1 << n) - 1, 1 << (k0 - 1) if k0 else 0
+        self.images, self.sigma = {}, sigma
+        self.full, self.drop = (1 << n) - 1, 1 << (k0 - 1) if k0 else 0
 
-    def __missing__(self, mask):
-        out = 0
-        for i in _bits(mask & ~self.drop):
-            out |= 1 << (self.sigma[i + 1] - 1)
-        image = self[mask] = self.full ^ out if mask & self.drop else out
-        return image
+    def fill(self, masks):
+        """Compute and keep the images of ``masks`` not yet in ``images``."""
+        images, sigma, full, drop = self.images, self.sigma, self.full, self.drop
+        for mask in masks:
+            if mask not in images:
+                out = 0
+                for i in _bits(mask & ~drop):
+                    out |= 1 << (sigma[i + 1] - 1)
+                images[mask] = full ^ out if mask & drop else out
 
 
 @functools.lru_cache(maxsize=16)
 def _generators(n):
     """The subset actions of ``(0 1)`` and ``k -> k+1 mod n+1`` on ``1..n``,
-    shared by every orbit on ``n`` labels; each fills as its masks are met,
-    so it holds at most ``2^n - 1`` images."""
+    shared by every orbit on ``n`` labels; their tables start empty and fill
+    as masks are met."""
     swap, cycle = (1, 0, *range(2, n + 1)), (*range(1, n + 1), 0)
     return _SubsetAction(swap, n), _SubsetAction(cycle, n)
 
 
-def _step(image, signs, shapes):
+def _step(action, signs, shapes):
     """Apply a subset action to signed shapes, ``signs[i]`` times the
     fraction of the ``(num masks, den masks)`` pair ``shapes[i]``; returns
     the signs and the shapes of the images, as two lists.
 
-    The action is an invertible linear map, so distinct factors stay
-    distinct and a reduced fraction stays reduced: nothing cancels.
+    Masks are read from ``action.images``; a shape with a mask missing
+    there has its masks filled in and is stepped again.  The action is an
+    invertible linear map, so distinct factors stay distinct and a reduced
+    fraction stays reduced: nothing cancels.
     """
-    drop, out_signs, out_shapes = image.drop, [], []
+    images, drop, out_signs, out_shapes = action.images, action.drop, [], []
     for sign, (num, den) in zip(signs, shapes):
         # bit ``drop`` of the xor of the masks is the parity of the factors
         # that change sign; plain loops, as CPython 3.11 calls a function
         # per comprehension
-        parity, num_images, den_images = 0, [], []
-        for mask in num:
-            parity ^= mask
-            num_images.append(image[mask])
-        for mask in den:
-            parity ^= mask
-            den_images.append(image[mask])
+        while True:
+            try:
+                parity, num_images, den_images = 0, [], []
+                for mask in num:
+                    parity ^= mask
+                    num_images.append(images[mask])
+                for mask in den:
+                    parity ^= mask
+                    den_images.append(images[mask])
+                break
+            except KeyError:
+                action.fill(num + den)
         num_images.sort()
         den_images.sort()
         out_signs.append(-sign if parity & drop else sign)
@@ -191,6 +214,11 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     return SignedShrub._trusted(sign, shrub)
 
 
+# shrubs on one labels tuple of length n sort by heights then covers, as by
+# their sort keys; both tuples have length n, so by their concatenation too
+_heights, _covers = attrgetter("_heights"), attrgetter("_covers")
+
+
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     """Closure of ``x`` under the full index-0 action, sorted.
 
@@ -206,20 +234,24 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     first reached through ``(0 1)``, costs ``2s - r`` steps and ``s - 1``
     certified rebuilds, one per shape other than that of ``x``.  Members
     share the labels ``1..n``, so they sort by heights, covers and sign, as
-    by their sort keys.  An orbit can hold ``2 (n+1)!`` members, so more
-    than ``cap`` labels raise ``CapExceeded`` before the search.
+    by their sort keys; each shrub's key is made once, without a Python
+    call.  An orbit can hold ``2 (n+1)!`` members, so more than ``cap``
+    labels raise ``CapExceeded`` before the search; a ``cap`` that is not an
+    int, ``True`` included, raises ``ValueError``.
     """
+    if type(cap) is not int:
+        raise ValueError(f"the orbit cap must be an int, got {cap!r}")
     n = x.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the orbit cap {cap}")
     start = shrub_masks(x.shrub)
     seen, closed = {start: x.sign}, False
 
-    def visit(image, signs, shapes):
-        """Step signed shapes by ``image``; the signs and shapes first met."""
+    def visit(action, signs, shapes):
+        """Step signed shapes by ``action``; the signs and shapes first met."""
         nonlocal closed
         new_signs, new_shapes = [], []
-        for t, z in zip(*_step(image, signs, shapes)):
+        for t, z in zip(*_step(action, signs, shapes)):
             had = seen.get(z)
             if had is None:
                 seen[z] = t
@@ -240,11 +272,13 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     shapes = iter(seen)
     next(shapes)  # the shape of x
     shrubs = [x.shrub, *(_reconstruct_checked((labels, *z)) for z in shapes)]
-    ranked = sorted(zip(shrubs, seen.values()), key=lambda m: (m[0]._heights, m[0]._covers))
+    keys = list(map(add, map(_heights, shrubs), map(_covers, shrubs)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     trusted = SignedShrub._trusted
     if closed:
-        return tuple(trusted(s, P) for P, _ in ranked for s in (-1, 1))
-    return tuple(trusted(s, P) for P, s in ranked)
+        return tuple(trusted(s, shrubs[i]) for i in order for s in (-1, 1))
+    signs = list(seen.values())
+    return tuple(trusted(signs[i], shrubs[i]) for i in order)
 
 
 def orbit_invariant(x: SignedShrub) -> OrbitInvariant:
@@ -285,11 +319,10 @@ class CTree:
     parents: tuple
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(self.sign)
         n = len(self.parents)
         for v, p in enumerate(self.parents, start=1):
-            if not 0 <= p <= n or p == v:
+            if type(p) is not int or not 0 <= p <= n or p == v:
                 raise ValueError(f"bad parent {p} for vertex {v}")
         seen = set()
         for v in range(1, n + 1):

@@ -316,8 +316,11 @@ def reconstruct(f: FactoredFraction, cap: int | None = None) -> Shrub:
     The final result is always verified against the closed-formula
     forward map, :func:`shrub_masks`.  Reading is polynomial at any size;
     a ``cap``, when given, refuses a fraction on more than ``cap`` labels
-    with ``CapExceeded`` before it is read.
+    with ``CapExceeded`` before it is read.  A ``cap`` other than an int or
+    ``None``, ``True`` included, raises ``ValueError``.
     """
+    if cap is not None and type(cap) is not int:
+        raise ValueError(f"the reconstruction cap must be an int or None, got {cap!r}")
     if f.sign != 1 or f.scalar != 1:
         raise NotInImage("a shrub fraction has sign +1 and scalar 1")
     record = _record(f)

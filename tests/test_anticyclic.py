@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import functools
 import itertools
+import math
+import pickle
 import random
 
 import pytest
@@ -160,6 +164,11 @@ class TestOrbits:
         x = signed(Shrub(range(1, 8), {v: 0 for v in range(1, 8)}, []))
         assert orbit(x, cap=7) == tuple(sorted(oracle_orbit(x), key=SignedShrub.sort_key))
 
+    @pytest.mark.parametrize("cap", ["9", True, 5.0, None])
+    def test_cap_must_be_an_int(self, cap):
+        with pytest.raises(ValueError, match=r"^the orbit cap must be an int, got "):
+            orbit(signed(pair_generator(1, 2)), cap=cap)
+
     def test_invariants_constant_small(self):
         holds("anticyclic/orbit-invariants")
 
@@ -254,13 +263,13 @@ class TestGeneratorTables:
         for n in range(1, 5):
             orbit(signed(chain(n)))
         tables = {n: anticyclic._generators(n) for n in range(1, 5)}
-        before = {n: [dict(t) for t in pair] for n, pair in tables.items()}
+        before = {n: [dict(t.images) for t in pair] for n, pair in tables.items()}
         for n in range(1, 4):
             for x in all_signed(n):
                 for sigma in itertools.permutations(range(n + 1)):
                     act(sigma, x)
         assert all(anticyclic._generators(n) is pair for n, pair in tables.items())
-        assert {n: [dict(t) for t in pair] for n, pair in tables.items()} == before
+        assert {n: [dict(t.images) for t in pair] for n, pair in tables.items()} == before
 
     def test_bounded(self):
         maxsize = anticyclic._generators.cache_info().maxsize
@@ -279,6 +288,50 @@ class TestGeneratorTables:
             orbit(signed(chain(6)))
         assert anticyclic._generators.cache_info().currsize == 0
 
+    @staticmethod
+    def subset_image(sigma, n, mask):
+        """The sign and the label mask of the 0/1 sum over ``mask``'s labels
+        after ``u_k -> u_sigma(k)``, with ``u0 = -(u1 + ... + un)``."""
+        image = {sigma[k] for k in range(1, n + 1) if mask >> (k - 1) & 1}
+        sign = 1
+        if 0 in image:
+            sign, image = -1, set(range(1, n + 1)) - image
+        return sign, sum(1 << (k - 1) for k in image)
+
+    def test_tables_fill_on_a_miss(self):
+        for n in range(1, 4):
+            masks = range(1, 1 << n)
+            for sigma in itertools.permutations(range(n + 1)):
+                want = [self.subset_image(sigma, n, mask) for mask in masks]
+                action = anticyclic._SubsetAction(sigma, n)
+                assert action.images == {}
+                # one mask a shape, each a miss, then all masks as one shape,
+                # none a miss: the sign multiplies over the factors
+                assert anticyclic._step(action, [1] * len(masks), [((), (mask,)) for mask in masks]) == (
+                    [sign for sign, _ in want],
+                    [((), (image,)) for _, image in want],
+                )
+                assert action.images == {mask: image for mask, (_, image) in zip(masks, want)}
+                [sign], [shape] = anticyclic._step(action, [-1], [((), tuple(masks))])
+                assert sign == -math.prod(s for s, _ in want)
+                assert shape == ((), tuple(sorted(image for _, image in want)))
+                # a shape with one mask met and one not
+                action = anticyclic._SubsetAction(sigma, n)
+                anticyclic._step(action, [1], [((), (masks[-1],))])
+                got = anticyclic._step(action, [1], [((masks[0],), (masks[-1],))])
+                assert got == ([want[0][0] * want[-1][0]], [((want[0][1],), (want[-1][1],))])
+
+    def test_generator_tables_fill_on_a_miss(self):
+        anticyclic._generators.cache_clear()
+        for n in range(1, 4):
+            tables = anticyclic._generators(n)
+            assert [t.images for t in tables] == [{}, {}]
+            for x in all_signed(n):
+                orbit(x)
+            for t in tables:
+                assert 0 < len(t.images) <= (1 << n) - 1
+                assert t.images == {mask: self.subset_image(t.sigma, n, mask)[1] for mask in t.images}
+
     def test_no_step_back_through_the_swap(self, monkeypatch):
         steps = []
         step = anticyclic._step
@@ -293,6 +346,60 @@ class TestGeneratorTables:
         assert (len(members), shapes) == (720, 360)
         # every shape steps through the cycle, and not every one through (0 1)
         assert shapes <= sum(steps) < 2 * shapes
+
+
+class TestMembers:
+    """Members come from ``SignedShrub._trusted``, which skips the checks
+    of ``__post_init__``: they must be the objects the checks would build."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_members_are_exact(self, n):
+        xs = all_signed(n) if n < 4 else [signed(chain(n), -1)]
+        for x in xs:
+            for m in (*orbit(x), act(tau(1, n), x)):
+                y = SignedShrub(m.sign, m.shrub)
+                assert type(m.sign) is int
+                assert vars(m) == vars(y) == {"sign": m.sign, "shrub": m.shrub}
+                assert m == y and hash(m) == hash(y) and repr(m) == repr(y)
+                for z in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), dataclasses.replace(m)):
+                    assert z == y and vars(z) == vars(y)
+                assert dataclasses.replace(m, sign=-m.sign) == y.negate()
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    m.sign = 1
+
+    def test_sign_closed_lists_minus_first(self):
+        members = orbit(signed(chain(3)))
+        assert [m.sign for m in members] == [-1, 1] * (len(members) // 2)
+
+
+class TestSigns:
+    """A sign is the int +1 or -1: ``True`` and ``1.0`` equal 1 but would
+    print as ``true`` and ``1.0`` in every member of an orbit."""
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 2, 0, "1", None])
+    def test_signed_shrub_sign(self, sign):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            SignedShrub(sign, pair_generator(1, 2))
+
+    @pytest.mark.parametrize("shrub", [[1, 2], None, "12"])
+    def test_signed_shrub_holds_a_shrub(self, shrub):
+        with pytest.raises(ValueError, match=r"^a signed shrub holds a Shrub, got "):
+            SignedShrub(1, shrub)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1"])
+    def test_ctree_sign(self, sign):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            CTree(sign, (0, 1))
+
+    @pytest.mark.parametrize("parents", [(0, 1.0), (0, True), (False,), (0, "1")])
+    def test_ctree_parent_is_an_int(self, parents):
+        with pytest.raises(ValueError, match=r"^bad parent .* for vertex "):
+            CTree(1, parents)
+
+    def test_ctree_act_keeps_int_signs(self):
+        for T in anticyclic.all_ctrees(3):
+            for sigma in itertools.permutations(range(4)):
+                assert type(ctree_act(sigma, T).sign) is int
 
 
 class TestInvariant:

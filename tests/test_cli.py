@@ -165,6 +165,16 @@ class TestCli:
         assert len(data["orbit"]) == 3
         assert data["invariant"] == [[], [1, 1]]
 
+    def test_orbit_cap(self, capsys, tmp_path):
+        sfile = tmp_path / "signed.json"
+        sfile.write_text(json.dumps(SignedShrub(1, chain(5)).to_json_dict()))
+        assert run(capsys, "orbit", str(sfile), "--cap", "4") == (1, "", "CapExceeded: n=5 exceeds the orbit cap 4\n")
+        for cap in ("9x", "True", "5.0"):
+            with pytest.raises(SystemExit) as info:
+                main(["orbit", str(sfile), "--cap", cap])
+            assert info.value.code == 2
+            assert "argument --cap: invalid int value" in capsys.readouterr().err
+
     def test_dot(self, capsys, edge_file):
         code, out, _ = run(capsys, "dot", edge_file)
         assert code == 0 and out.startswith("digraph")
@@ -315,6 +325,16 @@ class TestMalformedInput:
         args = ("act", "1,0,2") if command == "act" else ("orbit",)
         err = self.check_clean_failure(*args, str(path))
         assert err.startswith(f"ValueError: sign must be +1 or -1, got {float(sign)!r}")
+
+    # int() reads true and "1" as 1: a sign that is not a JSON number is
+    # refused, where it used to be read
+    @pytest.mark.parametrize("command, sign, shown", [("orbit", "true", "True"), ("act", '"1"', "'1'")])
+    def test_signed_shrub_with_non_number_sign(self, tmp_path, command, sign, shown):
+        path = tmp_path / "signed.json"
+        path.write_text(f'{{"sign": {sign}, "shrub": {pair_generator(1, 2).to_json()}}}')
+        args = ("act", "1,0,2") if command == "act" else ("orbit",)
+        err = self.check_clean_failure(*args, str(path))
+        assert err == f"ValueError: sign must be +1 or -1, got {shown}\n"
 
     def test_reconstruct_refused_chain_of_1000(self, tmp_path):
         # the fault walk counts heights once for the whole fraction, so a

@@ -10,6 +10,7 @@ through ``parse_fraction`` as through its general parser alone.
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,9 +104,17 @@ def test_signed_shrub_sign_must_be_unit(sign):
         SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB})
 
 
-@pytest.mark.parametrize("sign, expected", [(1, 1), (-1, -1), (1.0, 1), (-1.0, -1), ("1", 1), (" -1 ", -1)])
+# a JSON boolean or string is not a number, though int() reads it
+@pytest.mark.parametrize("sign", [True, False, "1", " -1 ", None, [1]])
+def test_signed_shrub_sign_must_be_a_number(sign):
+    with pytest.raises(ValueError, match=rf"^sign must be \+1 or -1, got {re.escape(repr(sign))}$"):
+        SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB})
+
+
+@pytest.mark.parametrize("sign, expected", [(1, 1), (-1, -1), (1.0, 1), (-1.0, -1)])
 def test_signed_shrub_integral_signs_parse(sign, expected):
-    assert SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB}).sign == expected
+    got = SignedShrub.from_json_dict({"sign": sign, "shrub": SHRUB}).sign
+    assert got == expected and type(got) is int
 
 
 # labels the fraction text carries: an int >= 0, or a str of [A-Za-z0-9_□]

@@ -299,6 +299,12 @@ class TestDirectReading:
         assert self.same_outcome(fraction_of_shrub(points)) == ("ok", points)
         assert self.same_outcome(faulty) == (NotInImage, "no label can start a compatible order")
 
+    @pytest.mark.parametrize("cap", ["3", True, 3.0])
+    def test_cap_must_be_an_int(self, cap):
+        with pytest.raises(ValueError, match=r"^the reconstruction cap must be an int or None, got "):
+            reconstruct(fraction_of_shrub(chain(2)), cap=cap)
+        assert reconstruct(fraction_of_shrub(chain(2)), cap=None) == chain(2)
+
     def test_right_degree_but_not_a_shrub(self):
         # 4 covers {1, 2} and 5 covers {1, 3}: an F5, whose own masks the
         # reading gives back, certificate and all; only the pattern check
