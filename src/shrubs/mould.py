@@ -276,7 +276,7 @@ class LinearForm:
         return self._hash
 
     def __reduce__(self):
-        # no cached hash in the pickle (see ``Shrub.__reduce__``)
+        # no cached hash in the pickle: a str label hashes differently in another process
         return LinearForm, (self.terms,)
 
     def __repr__(self):
@@ -394,8 +394,8 @@ class FactoredFraction:
         return self._hash
 
     def __reduce__(self):
-        # no cached hash in the pickle (see ``Shrub.__reduce__``); a mask
-        # record stays one, its forms and hash built on first read
+        # no cached hash in the pickle: str labels hash differently in another
+        # process.  A mask record stays one, its forms and hash built on first read
         if self._masks is not None:
             return FactoredFraction._of_masks, self._masks
         return FactoredFraction, (self.sign, self.scalar, self.num, self.den)
@@ -509,8 +509,7 @@ class MouldElement:
         acc = {}
         for coeff, ff in terms:
             coeff = Fraction(coeff) * ff.sign * ff.scalar
-            key = ff.magnitude()
-            key = FactoredFraction(1, 1, key.num, key.den)
+            key = FactoredFraction(1, 1, ff.num, ff.den)
             acc[key] = acc.get(key, Fraction(0)) + coeff
         pairs = [(c, ff) for ff, c in acc.items() if c]
         pairs.sort(key=lambda p: p[1].sort_key())

@@ -18,7 +18,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .core import Shrub, _bits, _composed_labels, _is_label, label_key, parse_json
+from .core import Shrub, _bits, _composed_labels, _is_label, _upward, label_key, parse_json
 from .errors import LabelClash, MalformedWord
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
@@ -374,7 +374,7 @@ def decompose(P: Shrub) -> GenWord:
     labels = list(P.labels)
     keys = [label_key(v) for v in labels]  # None once the vertex is peeled off
     covers = list(P._covers)
-    covered = list(P._covered)
+    covered = _upward(P._covers)
     # (covers, covered) -> [(key, index)], sorted: the correlation classes;
     # the labels of P are sorted by label_key, so each list starts sorted
     groups = {}

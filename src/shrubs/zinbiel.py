@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Shrub, _composed_labels, label_key
+from .core import Shrub, _composed_labels, _upward, label_key
 from .errors import CapExceeded, LabelClash, UnknownLabel
 
 ORDER_CAP = 9  # linear-extension enumeration is exponential past this
@@ -187,7 +187,7 @@ def compatible_orders(P: Shrub) -> tuple:
     if n > ORDER_CAP:
         raise CapExceeded(f"{n} labels exceed the order-enumeration cap {ORDER_CAP}")
     roots = sum(1 << i for i, m in enumerate(P._covers) if not m)
-    return tuple(_orders(P.labels, roots, P._covered))
+    return tuple(_orders(P.labels, roots, _upward(P._covers)))
 
 
 def gamma(P: Shrub) -> ZinbElement:

@@ -20,6 +20,7 @@ from shrubs import (
     Unsupported,
     count_isomorphism_classes,
     enumerate_shrubs_bruteforce,
+    label_key,
     trivial_shrub,
 )
 from shrubs.checks import all_shrubs, random_shrub
@@ -137,19 +138,15 @@ def _raw(hmap, edges):
     labels = tuple(sorted(hmap))
     index = {v: i for i, v in enumerate(labels)}
     covers = [0] * len(labels)
-    covered = [0] * len(labels)
     for a, b in edges:
         ia, ib = index[a], index[b]
         if hmap[a] > hmap[b]:
             ia, ib = ib, ia
         covers[ib] |= 1 << ia
-        covered[ia] |= 1 << ib
     P.labels = labels
     P._index = index
     P._heights = tuple(hmap[v] for v in labels)
     P._covers = tuple(covers)
-    P._covered = tuple(covered)
-    P._hash = 0
     return P
 
 
@@ -220,12 +217,26 @@ class TestQueries:
         assert merged == Shrub([3, "m"], {3: 0, "m": 1}, [(3, "m")])
         with pytest.raises(NotCorrelated):
             chain(1, 2).merge_correlated(1, 2, "m")
+        # a pair needs two vertices, even a vertex correlated with itself
+        with pytest.raises(NotCorrelated) as info:
+            star.merge_correlated(1, 1, "m")
+        assert info.value.pair == (1, 1)
 
     def test_truncate(self):
         P = chain(1, 2, 3)
         assert P.truncate_at_or_above(1) == chain(2, 3)
         assert P.truncate_at_or_above(0) == P
         assert len(P.truncate_at_or_above(5)) == 0
+
+    def test_relabel_clash_names_each_label_once(self):
+        P = Shrub([1, 2, 3, 4], {1: 0, 2: 0, 3: 0, 4: 0}, [])
+        with pytest.raises(LabelClash) as info:
+            P.relabel({1: "b", 2: "b", 3: "a", 4: "a"})
+        assert info.value.labels == ("a", "b")
+        assert str(info.value) == "label clash on ('a', 'b')"
+        with pytest.raises(LabelClash) as info:
+            P.relabel({1: "x", 2: 4, 3: "x"})
+        assert info.value.labels == (4, "x")
 
     def test_surgery_keeps_validity(self):
         holds("core/surgery-validity")
@@ -383,8 +394,9 @@ class TestEnumeration:
             assert out == tuple(sorted(set(out), key=Shrub.sort_key))
 
     def test_memory_per_shrub(self):
-        # a shrub keeps its tuples and hash; the label index is built only on
-        # a label query, and the sort builds no key per label
+        # a shrub keeps its labels, heights and cover masks: no upward masks
+        # and no hash are stored, the label index is built only on a label
+        # query, and the sort builds no key per label
         enumerate_shrubs_bruteforce(3)  # first-call allocations stay out of the count
         tracemalloc.start()
         try:
@@ -393,7 +405,7 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert len(out) == 2791
-        assert retained <= 450 * len(out)
+        assert retained <= 280 * len(out)
         assert peak <= 1.25 * retained
 
 
@@ -449,6 +461,68 @@ class TestLabelIndex:
             assert all(loaded.height(v) == P.height(v) for v in P.labels)
             assert all(loaded.covers(v) == P.covers(v) for v in P.labels)
             assert 0 not in loaded and 1.0 not in loaded
+
+
+def _answers_from_edges(P):
+    """``covered_by`` of each label, ``leaves``, ``correlated_pairs`` and
+    ``is_connected`` of ``P``, worked out from ``P.edges`` and
+    ``P.height_map`` alone."""
+    h = P.height_map
+    up = {v: set() for v in P.labels}
+    down = {v: set() for v in P.labels}
+    for a, b in P.edges:
+        low, high = (a, b) if h[a] < h[b] else (b, a)
+        up[low].add(high)
+        down[high].add(low)
+    leaves = frozenset(v for v in P.labels if len(down[v]) == 1 and not up[v])
+    pairs = [
+        tuple(sorted((a, b), key=label_key))
+        for a, b in itertools.combinations(P.labels, 2)
+        if up[a] == up[b] and down[a] == down[b]
+    ]
+    pairs.sort(key=lambda p: (label_key(p[0]), label_key(p[1])))
+    reached, todo = set(), list(P.labels[:1])
+    while todo:
+        v = todo.pop()
+        if v not in reached:
+            reached.add(v)
+            todo += up[v] | down[v]
+    covered_by = {v: frozenset(up[v]) for v in P.labels}
+    return covered_by, leaves, tuple(pairs), bool(P.labels) and len(reached) == len(P)
+
+
+def _answers(P):
+    return {v: P.covered_by(v) for v in P.labels}, P.leaves(), P.correlated_pairs(), P.is_connected()
+
+
+class TestUpwardMasks:
+    """The masks above each vertex are derived from the cover masks on
+    every query; each way of making a shrub must give the answers its edge
+    list gives."""
+
+    @staticmethod
+    def _made_from(P):
+        yield P
+        yield Shrub(P.labels, P.height_map, P.edges)
+        yield P.relabel({v: f"v{v}" if v % 2 else len(P) + 1 - v for v in P.labels})
+        yield from P.connected_components()
+        for h0 in range(1, P.max_height() + 1):
+            yield P.truncate_at_or_above(h0)
+        yield pickle.loads(pickle.dumps(P))
+
+    @classmethod
+    def _all_made(cls):
+        for P in (Shrub([], {}, []), *itertools.chain.from_iterable(map(all_shrubs, range(1, 6)))):
+            yield from cls._made_from(P)
+
+    def test_queries_match_the_edge_list(self):
+        for Q in self._all_made():
+            assert _answers(Q) == _answers_from_edges(Q), Q
+
+    def test_hash_is_that_of_the_stored_fields(self):
+        assert Shrub.__slots__ == ("labels", "_index", "_heights", "_covers")
+        for Q in self._all_made():
+            assert hash(Q) == hash((Q.labels, Q._heights, Q._covers)), Q
 
 
 class TestSerialization:
