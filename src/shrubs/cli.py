@@ -181,10 +181,7 @@ def main(argv=None) -> int:
             return 1 if failed else 0
         elif args.command == "dot":
             sys.stdout.write(_load_shrub(args.shrub).to_dot())
-    except ShrubError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ShrubError, OSError, ValueError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -399,19 +399,28 @@ class Shrub:
 
     # -- structure --------------------------------------------------------
 
+    def _moved(self, order, labels, shift=0):
+        """The shrub whose vertex ``p`` is vertex ``order[p]`` of this one,
+        renamed ``labels[p]`` and lowered by ``shift``, its covers kept on
+        the moved vertices.  Trusted: the result must be a shrub, and
+        ``labels`` distinct and in ``label_key`` order."""
+        pos = [0] * len(self.labels)  # bit of each moved vertex in the result, 0 if dropped
+        for p, i in enumerate(order):
+            pos[i] = 1 << p
+        covers = []
+        for i in order:
+            m, c = 0, self._covers[i]
+            while c:
+                low = c & -c
+                m |= pos[low.bit_length() - 1]
+                c ^= low
+            covers.append(m)
+        return Shrub._from_parts(tuple(labels), tuple(self._heights[i] - shift for i in order), tuple(covers))
+
     def _restrict_mask(self, mask, shift=0):
         """Induced sub-shrub on the vertices in ``mask`` (trusted valid)."""
-        idxs = list(_bits(mask))
-        labels = tuple(self.labels[i] for i in idxs)
-        heights = tuple(self._heights[i] - shift for i in idxs)
-        pos = {i: p for p, i in enumerate(idxs)}
-        covers = []
-        for i in idxs:
-            m = 0
-            for t in _bits(self._covers[i] & mask):
-                m |= 1 << pos[t]
-            covers.append(m)
-        return Shrub._from_parts(labels, heights, tuple(covers))
+        order = list(_bits(mask))
+        return self._moved(order, [self.labels[i] for i in order], shift)
 
     def _component_mask(self, s, up) -> int:
         """Mask of the component of ``s``, by flood fill; ``up`` is ``_upward(self._covers)``."""
@@ -518,27 +527,14 @@ class Shrub:
         return self._restrict_mask(mask)
 
     def merge_correlated(self, a, b, new_label) -> "Shrub":
+        """Merge the correlated pair ``a``, ``b`` into the vertex ``new_label``,
+        undoing one C composition: drop ``b``, rename ``a``.  ``new_label``
+        is checked as by :meth:`relabel`, and may be ``a`` or ``b``."""
         ia, ib = self._idx(a), self._idx(b)
         up = _upward(self._covers)
         if ia == ib or self._covers[ia] != self._covers[ib] or up[ia] != up[ib]:
             raise NotCorrelated((a, b))
-        _check_label(new_label)
-        if new_label in self._label_index() and new_label not in (a, b):
-            raise LabelClash((new_label,))
-        keep = [i for i in range(len(self.labels)) if i not in (ia, ib)]
-        labels = [self.labels[i] for i in keep] + [new_label]
-        heights = {self.labels[i]: self._heights[i] for i in keep}
-        heights[new_label] = self._heights[ia]
-        edges = []
-        for j in keep:
-            for t in _bits(self._covers[j] & ~(1 << ia) & ~(1 << ib)):
-                if t in keep:
-                    edges.append((self.labels[j], self.labels[t]))
-        for t in _bits(self._covers[ia]):
-            edges.append((new_label, self.labels[t]))
-        for s in _bits(up[ia]):
-            edges.append((self.labels[s], new_label))
-        return Shrub(labels, heights, edges)
+        return self._restrict_mask(((1 << len(self.labels)) - 1) ^ (1 << ib)).relabel({a: new_label})
 
     def truncate_at_or_above(self, h0: int) -> "Shrub":
         """Induced sub-shrub on heights >= ``h0``, heights shifted down."""
@@ -551,22 +547,14 @@ class Shrub:
         return self._restrict_mask(mask, shift=h0)
 
     def relabel(self, mapping: Mapping) -> "Shrub":
-        """Rename vertices through an injective mapping (identity default)."""
+        """Rename vertices through an injective mapping (identity default):
+        ``TypeError`` for a new label not int or str, ``LabelClash`` naming each clash once."""
         new = [_check_label(mapping.get(v, v)) for v in self.labels]
         counts = Counter(new)
         if len(counts) != len(new):
             raise LabelClash(sorted((v for v, k in counts.items() if k > 1), key=label_key))
         order = sorted(range(len(new)), key=lambda i: label_key(new[i]))
-        labels = tuple(new[i] for i in order)
-        heights = tuple(self._heights[i] for i in order)
-        pos = {i: p for p, i in enumerate(order)}
-        covers = [0] * len(new)
-        for j, m in enumerate(self._covers):
-            mm = 0
-            for t in _bits(m):
-                mm |= 1 << pos[t]
-            covers[pos[j]] = mm
-        return Shrub._from_parts(labels, heights, tuple(covers))
+        return self._moved(order, [new[i] for i in order])
 
     # -- isomorphism ------------------------------------------------------
 

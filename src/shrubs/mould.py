@@ -218,7 +218,10 @@ class LinearForm:
         ``form`` is ``None`` when the mapping is identically zero; otherwise
         ``coeffs == sign * content * form`` with ``content`` a positive int.
         """
-        items = sorted(((v, int(c)) for v, c in coeffs.items() if c), key=lambda p: label_key(p[0]))
+        for v, c in coeffs.items():
+            if type(c) is not int:
+                raise ValueError(f"the coefficient of {v!r} must be an int, got {c!r}")
+        items = sorted(((v, c) for v, c in coeffs.items() if c), key=lambda p: label_key(p[0]))
         if not items:
             return None, 1, 0
         content = 0
@@ -320,10 +323,10 @@ class FactoredFraction:
 
     def __init__(self, sign=1, scalar=1, num=(), den=()):
         scalar = Fraction(scalar)
+        if type(sign) is not int or sign not in (1, -1) or scalar == 0:
+            raise ValueError("sign must be +-1 and the scalar nonzero")
         if scalar < 0:
             sign, scalar = -sign, -scalar
-        if sign not in (1, -1) or scalar == 0:
-            raise ValueError("sign must be +-1 and the scalar nonzero")
         num = list(num)
         den = list(den)
         den_count = {}
@@ -874,6 +877,8 @@ def zinb_extract(f: MouldElement, labels=None, cap: int = EXTRACTION_CAP) -> Zin
     combination is always certified exactly (factored inputs step by step,
     general sums by a final symbolic comparison).
     """
+    if type(cap) is not int:
+        raise ValueError(f"the extraction cap must be an int, got {cap!r}")
     from .zinbiel import ZinbElement
 
     labels = frozenset(f.labels if labels is None else labels)

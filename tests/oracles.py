@@ -1,7 +1,8 @@
 """Independent test oracles, deliberately written the slow obvious way.
 
 Nothing here shares logic with the library implementations it checks: the
-pattern scan walks every 4- and 5-vertex induced subgraph, isomorphism
+pattern scan walks every 4- and 5-vertex induced subgraph, relabeling and
+the correlated merge rewrite edge lists and validate the result, isomorphism
 tries every height-preserving bijection, the canonical form tries every
 product of per-level permutations, the order-composition oracle builds
 shuffles recursively (the library picks the tail's places with
@@ -23,7 +24,7 @@ import itertools
 
 from shrubs.anticyclic import SignedShrub, act
 from shrubs.core import Shrub, _bits, label_key, trivial_shrub
-from shrubs.errors import CapExceeded, MalformedWord, NotInImage
+from shrubs.errors import CapExceeded, LabelClash, MalformedWord, NotCorrelated, NotInImage
 from shrubs.mould import FactoredFraction, LinearForm, kappa
 from shrubs.operad import GenWord, disjoint_union, fresh_slots, graft
 from shrubs.reconstruction import reconstruct
@@ -81,6 +82,43 @@ def first_pattern_by_pairs(covers):
             if common and only_x and only_y:
                 return "F5", (x, y, only_x[0], min(common), only_y[0])
     return None
+
+
+def _check_new_label(label):
+    if not isinstance(label, (int, str)) or isinstance(label, bool):
+        raise TypeError(f"labels must be int or str, got {label!r}")
+
+
+def oracle_relabel(P: Shrub, mapping) -> Shrub:
+    """Rename the labels of ``P`` in its height map and edge list, and
+    validate the result through ``Shrub(...)``."""
+    new = {v: mapping.get(v, v) for v in P.labels}
+    for w in new.values():
+        _check_new_label(w)
+    images = list(new.values())
+    clash = {w for w in images if images.count(w) > 1}
+    if clash:
+        raise LabelClash(sorted(clash, key=label_key))
+    height = {new[v]: h for v, h in P.height_map.items()}
+    return Shrub(images, height, [(new[a], new[b]) for a, b in P.edges])
+
+
+def oracle_merge_correlated(P: Shrub, a, b, new_label) -> Shrub:
+    """Merge the correlated pair ``a``, ``b`` of ``P`` into one vertex
+    ``new_label``: list the edges by label, give the new vertex the edges of
+    ``a``, and validate the result through ``Shrub(...)``."""
+    down, up = P.covers(a), P.covered_by(a)
+    if a == b or (P.covers(b), P.covered_by(b)) != (down, up):
+        raise NotCorrelated((a, b))
+    _check_new_label(new_label)
+    if new_label in P and new_label not in (a, b):
+        raise LabelClash((new_label,))
+    keep = [v for v in P.labels if v not in (a, b)]
+    height = {v: P.height(v) for v in keep}
+    height[new_label] = P.height(a)
+    edges = [e for e in P.edges if a not in e and b not in e]
+    edges += [(new_label, t) for t in down] + [(s, new_label) for s in up]
+    return Shrub(keep + [new_label], height, edges)
 
 
 def graph_candidates(n):

@@ -25,7 +25,7 @@ from shrubs import (
 )
 from shrubs.checks import all_shrubs, random_shrub
 from shrubs.core import _find_pattern
-from shrubs.errors import CapExceeded
+from shrubs.errors import CapExceeded, ShrubError
 from shrubs.series_parallel import count_series_parallel
 
 from oracles import (
@@ -34,6 +34,8 @@ from oracles import (
     graph_candidates,
     naive_forbidden_pattern,
     oracle_canonical_form,
+    oracle_merge_correlated,
+    oracle_relabel,
 )
 from properties import holds
 
@@ -523,6 +525,44 @@ class TestUpwardMasks:
         assert Shrub.__slots__ == ("labels", "_index", "_heights", "_covers")
         for Q in self._all_made():
             assert hash(Q) == hash((Q.labels, Q._heights, Q._covers)), Q
+
+
+def _moved_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ShrubError, TypeError) as e:
+        return type(e), str(e)
+
+
+class TestMaskMove:
+    """``relabel`` and ``merge_correlated`` move vertices with their cover
+    masks; the oracles rename and merge edge lists through ``Shrub(...)``.
+    Each must give the same shrub, or the same exception and message."""
+
+    @staticmethod
+    def _shrubs():
+        for P in itertools.chain.from_iterable(map(all_shrubs, range(1, 6))):
+            yield P
+            yield P.relabel({v: f"v{v}" if v % 2 else len(P) + 1 - v for v in P.labels})
+
+    def test_relabel_matches_the_edge_list(self):
+        for P in self._shrubs():
+            first, last = P.labels[0], P.labels[-1]
+            mixed = {v: str(v) if k % 2 else 10 + k for k, v in enumerate(P.labels)}
+            swap = {first: last, last: first}
+            clashes = ({v: "c" for v in P.labels[:2]}, {last: first})
+            for mapping in (mixed, swap, *clashes, {first: 1.0}):
+                want = _moved_outcome(oracle_relabel, P, mapping)
+                assert _moved_outcome(P.relabel, mapping) == want, (P, mapping)
+
+    def test_merge_correlated_matches_the_edge_list(self):
+        for P in self._shrubs():
+            for a, b in itertools.product(P.labels, repeat=2):
+                other = next((v for v in P.labels if v not in (a, b)), "z")
+                for new in ("m", a, b, other, 1.0):
+                    assert _moved_outcome(P.merge_correlated, a, b, new) == _moved_outcome(
+                        oracle_merge_correlated, P, a, b, new
+                    ), (P, a, b, new)
 
 
 class TestSerialization:

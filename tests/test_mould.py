@@ -103,6 +103,20 @@ class TestLinearForm:
     def test_text(self):
         assert form((1, 1), (2, -2)).text() == "u1-2*u2"
 
+    @pytest.mark.parametrize("c", [1.5, 2.0, 0.0, True, Fraction(2)])
+    def test_coefficients_must_be_ints(self, c):
+        # 1.5 used to be truncated, giving u1+u2
+        with pytest.raises(ValueError) as info:
+            LinearForm.normalize({1: c, 2: 1})
+        assert str(info.value) == f"the coefficient of 1 must be an int, got {c!r}"
+
+    def test_substitution_refuses_non_int_coefficients(self):
+        # these used to give -1/((u2)(0*u3-u4)) and 1/2*1/((u2)(u3))
+        for rep, bad in (({3: 0.5, 4: 1}, 0.5), ({3: 2.7}, 2.7)):
+            with pytest.raises(ValueError) as info:
+                inv(u1, u2).substitute({1: rep})
+            assert str(info.value) == f"the coefficient of 3 must be an int, got {bad}"
+
 
 class TestFactoredFraction:
     def test_reduction(self):
@@ -112,6 +126,15 @@ class TestFactoredFraction:
     def test_scalar_sign_fold(self):
         f = FactoredFraction(sign=1, scalar=-2, num=[u1], den=[u2])
         assert f.sign == -1 and f.scalar == 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, True])
+    def test_sign_must_be_the_int_one_or_minus_one(self, sign):
+        # a float sign used to give float values: evaluate gave 0.5, not 1/2
+        for scalar in (1, -1):
+            with pytest.raises(ValueError, match=r"^sign must be \+-1 and the scalar nonzero$"):
+                FactoredFraction(sign, scalar, [], [u1])
+        got = FactoredFraction(-1, 1, [], [u1]).evaluate({1: 2})
+        assert got == Fraction(-1, 2) and type(got) is Fraction
 
     def test_compose_cancellation(self):
         # (1/(u1 u2)) o_1 (1/(u3 u4)) = 1/(u2 u3 u4)
@@ -474,6 +497,14 @@ class TestExtraction:
 
     def test_zero(self):
         assert zinb_extract(MouldElement.zero({1, 2}), labels={1, 2}).is_zero()
+
+    @pytest.mark.parametrize("cap", ["6", None, True, 6.5, 6.0])
+    def test_cap_must_be_an_int(self, cap):
+        f = MouldElement.from_fraction(inv(u1, u2))
+        with pytest.raises(ValueError) as info:
+            zinb_extract(f, cap=cap)
+        assert str(info.value) == f"the extraction cap must be an int, got {cap!r}"
+        assert zinb_extract(f, cap=2) == ZinbElement({1, 2}, {(1, 2): 1, (2, 1): 1})
 
 
 class TestDeformation:
