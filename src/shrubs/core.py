@@ -188,6 +188,37 @@ def _upward(covers) -> list:
     return covered
 
 
+def _remap(covers, order) -> tuple:
+    """The masks ``covers[k]`` of the vertices ``k`` in ``order``, with each
+    vertex in ``order`` moved to its place there and every other dropped."""
+    pos = [0] * len(covers)  # bit of each kept vertex in the result, 0 if dropped
+    for p, k in enumerate(order):
+        pos[k] = 1 << p
+    out = []
+    for k in order:
+        m, c = 0, covers[k]
+        while c:
+            low = c & -c
+            m |= pos[low.bit_length() - 1]
+            c ^= low
+        out.append(m)
+    return tuple(out)
+
+
+def _certify(labels, heights, covers):
+    """The certificate the constructor and every mask build end with: no
+    induced F4 or F5 (:class:`ForbiddenPattern`, first witness in index
+    order), then every vertex above height 0 covers something
+    (:class:`Unsupported` on the first that does not)."""
+    hit = _find_pattern(covers)
+    if hit is not None:
+        name, witnesses = hit
+        raise ForbiddenPattern(name, tuple(labels[i] for i in witnesses))
+    for i, h in enumerate(heights):
+        if h > 0 and not covers[i]:
+            raise Unsupported(labels[i])
+
+
 def _find_pattern(covers):
     """Scan cover masks for an induced F4 or F5; return (name, index tuple).
 
@@ -275,13 +306,7 @@ class Shrub:
                 raise HeightJump((a, b), (height[a], height[b]))
             # ib covers ia
             covers[ib] |= 1 << ia
-        hit = _find_pattern(covers)
-        if hit is not None:
-            name, witnesses = hit
-            raise ForbiddenPattern(name, tuple(labels[i] for i in witnesses))
-        for i, h in enumerate(heights):
-            if h > 0 and not covers[i]:
-                raise Unsupported(labels[i])
+        _certify(labels, heights, covers)
 
         self.labels = labels
         self._index = index
@@ -404,18 +429,9 @@ class Shrub:
         renamed ``labels[p]`` and lowered by ``shift``, its covers kept on
         the moved vertices.  Trusted: the result must be a shrub, and
         ``labels`` distinct and in ``label_key`` order."""
-        pos = [0] * len(self.labels)  # bit of each moved vertex in the result, 0 if dropped
-        for p, i in enumerate(order):
-            pos[i] = 1 << p
-        covers = []
-        for i in order:
-            m, c = 0, self._covers[i]
-            while c:
-                low = c & -c
-                m |= pos[low.bit_length() - 1]
-                c ^= low
-            covers.append(m)
-        return Shrub._from_parts(tuple(labels), tuple(self._heights[i] - shift for i in order), tuple(covers))
+        return Shrub._from_parts(
+            tuple(labels), tuple(self._heights[i] - shift for i in order), _remap(self._covers, order)
+        )
 
     def _restrict_mask(self, mask, shift=0):
         """Induced sub-shrub on the vertices in ``mask`` (trusted valid)."""
@@ -733,6 +749,45 @@ class Shrub:
 def _dot_id(label) -> str:
     """``label`` as a double-quoted DOT identifier, with quotes escaped."""
     return json.dumps(str(label), ensure_ascii=False)
+
+
+def _laid_out(labels, heights, covers, kept) -> Shrub:
+    """The shrub on the vertices ``kept`` of a vertex list in any order,
+    where vertex ``k`` is ``labels[k]`` at height ``heights[k]`` and covers
+    the vertices in the mask ``covers[k]``: laid out in ``label_key`` order,
+    its masks remapped, and certified by :func:`_certify`.  The kept labels
+    must be distinct labels, the heights nonnegative ints and the edges
+    between consecutive levels."""
+    order = sorted(kept, key=lambda k: label_key(labels[k]))
+    labels = tuple([labels[k] for k in order])
+    heights = tuple([heights[k] for k in order])
+    covers = _remap(covers, order)
+    _certify(labels, heights, covers)
+    return Shrub._from_parts(labels, heights, covers)
+
+
+def _joined(P: Shrub, Q: Shrub, lift=0, down=0, slot=None) -> Shrub:
+    """The vertices of ``P`` but the one at index ``slot``, and those of
+    ``Q`` raised by ``lift``, laid out by :func:`_laid_out`: the roots
+    of ``Q`` also cover the vertices of ``P`` in the mask ``down``, and take
+    the place of ``slot`` in the covers of ``P``.  The caller checks that
+    the kept labels are distinct; :func:`_laid_out` certifies the result."""
+    n = len(P.labels)
+    covers = list(P._covers)
+    roots = 0
+    for j, (c, h) in enumerate(zip(Q._covers, Q._heights), n):
+        if h:
+            covers.append(c << n)
+        else:
+            covers.append(c << n | down)
+            roots |= 1 << j
+    kept = range(len(covers))
+    if slot is not None:
+        bit = 1 << slot
+        covers = [c | roots if c & bit else c for c in covers]
+        kept = [k for k in kept if k != slot]
+    heights = P._heights + tuple([h + lift for h in Q._heights])
+    return _laid_out(P.labels + Q.labels, heights, covers, kept)
 
 
 def trivial_shrub(label) -> Shrub:

@@ -207,6 +207,9 @@ class LinearForm:
         terms = tuple(terms)
         if not terms:
             raise ValueError("a linear form cannot be zero")
+        for v, c in terms:
+            if type(c) is not int or not c:
+                raise ValueError(f"the coefficient of {v!r} must be a nonzero int, got {c!r}")
         self.terms = terms
         self._hash = hash(terms)
         self._key = None
@@ -322,6 +325,8 @@ class FactoredFraction:
     __slots__ = ("sign", "scalar", "num", "den", "_hash", "_masks")
 
     def __init__(self, sign=1, scalar=1, num=(), den=()):
+        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
+            raise ValueError(f"the scalar must be an int or a Fraction, got {scalar!r}")
         scalar = Fraction(scalar)
         if type(sign) is not int or sign not in (1, -1) or scalar == 0:
             raise ValueError("sign must be +-1 and the scalar nonzero")

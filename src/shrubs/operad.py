@@ -9,6 +9,13 @@ decomposes into the two degree-2 generators
 
 and :func:`decompose` / :func:`evaluate` realize that presentation as
 generator words.
+
+The products and :func:`evaluate` build their results from cover masks,
+never from edge lists: the vertices are laid out in ``label_key`` order,
+only the joining edges are added as masks, and the result passes the
+certificate the :class:`Shrub` constructor ends with (no induced F4 or F5,
+every vertex above height 0 covers something), so it is certified like
+any constructed shrub.
 """
 
 from __future__ import annotations
@@ -18,7 +25,18 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .core import Shrub, _bits, _composed_labels, _is_label, _upward, label_key, parse_json
+from .core import (
+    Shrub,
+    _bits,
+    _composed_labels,
+    _is_label,
+    _joined,
+    _laid_out,
+    _upward,
+    label_key,
+    parse_json,
+    trivial_shrub,
+)
 from .errors import LabelClash, MalformedWord
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
@@ -34,28 +52,20 @@ def compose(P: Shrub, i, Q: Shrub) -> Shrub:
     _composed_labels(P, i, Q.labels)
     if len(Q) == 0:
         raise ValueError("cannot compose with an empty shrub")
-    hi = P.height(i)
-    vertices = [v for v in P.labels if v != i] + list(Q.labels)
-    height = {v: P.height(v) for v in P.labels if v != i}
-    for v in Q.labels:
-        height[v] = Q.height(v) + hi
-    edges = [e for e in P.edges if i not in e]
-    edges.extend(Q.edges)
-    neighbors = P.covers(i) | P.covered_by(i)
-    for j in neighbors:
-        for r in Q.roots():
-            edges.append((j, r))
-    return Shrub(vertices, height, edges)
+    k = P._idx(i)
+    return _joined(P, Q, P._heights[k], P._covers[k], k)
+
+
+def _check_disjoint(P: Shrub, Q: Shrub):
+    clash = set(P.labels) & set(Q.labels)
+    if clash:
+        raise LabelClash(sorted(clash, key=label_key))
 
 
 def disjoint_union(P: Shrub, Q: Shrub) -> Shrub:
     """Place ``P`` and ``Q`` side by side (commutative, associative)."""
-    clash = set(P.labels) & set(Q.labels)
-    if clash:
-        raise LabelClash(sorted(clash, key=label_key))
-    height = P.height_map
-    height.update(Q.height_map)
-    return Shrub(P.labels + Q.labels, height, list(P.edges) + list(Q.edges))
+    _check_disjoint(P, Q)
+    return _joined(P, Q)
 
 
 def graft(P: Shrub, Q: Shrub) -> Shrub:
@@ -64,27 +74,18 @@ def graft(P: Shrub, Q: Shrub) -> Shrub:
     Equals composing ``P`` and ``Q`` into the two-vertex rooted tree; the
     operation is not associative.
     """
-    clash = set(P.labels) & set(Q.labels)
-    if clash:
-        raise LabelClash(sorted(clash, key=label_key))
-    height = P.height_map
-    for v in Q.labels:
-        height[v] = Q.height(v) + 1
-    edges = list(P.edges) + list(Q.edges)
-    for a in P.roots():
-        for b in Q.roots():
-            edges.append((a, b))
-    return Shrub(P.labels + Q.labels, height, edges)
+    _check_disjoint(P, Q)
+    return _joined(P, Q, 1, sum(1 << j for j, h in enumerate(P._heights) if not h))
 
 
 def pair_generator(a, b) -> Shrub:
     """The generator ``C`` on labels ``{a, b}``: two isolated vertices."""
-    return Shrub([a, b], {a: 0, b: 0}, [])
+    return disjoint_union(trivial_shrub(a), trivial_shrub(b))
 
 
 def graft_generator(root, top) -> Shrub:
     """The generator ``D`` on ``{root, top}``: an edge rooted at ``root``."""
-    return Shrub([root, top], {root: 0, top: 1}, [(root, top)])
+    return graft(trivial_shrub(root), trivial_shrub(top))
 
 
 # -- generator words ------------------------------------------------------
@@ -112,6 +113,18 @@ class GenWord:
     @classmethod
     def node(cls, gen, slot, left, right) -> "GenWord":
         return cls(gen=gen, slot=slot, args=(left, right))
+
+    @classmethod
+    def _trusted(cls, gen, label, slot, args) -> "GenWord":
+        """A word with these fields, unchecked (trusted, like
+        ``Shrub._from_parts``)."""
+        self = object.__new__(cls)
+        fields = self.__dict__  # written as unpickling does, past the frozen __setattr__
+        fields["gen"] = gen
+        fields["label"] = label
+        fields["slot"] = slot
+        fields["args"] = args
+        return self
 
     def leaf_labels(self) -> tuple:
         out = []
@@ -278,11 +291,12 @@ def evaluate(word: GenWord) -> Shrub:
     """Evaluate a generator word to the shrub it builds.
 
     One walk with an explicit stack collects each leaf's height (the number
-    of ``D`` nodes whose right argument holds it) and the edges every ``D``
-    node adds between the roots of its two arguments; the result is then
-    built once through the validating :class:`Shrub` constructor.  Anything
-    that is not a word over ``C`` and ``D`` with distinct int or str leaf
-    labels raises :class:`MalformedWord`.
+    of ``D`` nodes whose right argument holds it) and the root mask of every
+    argument; a ``D`` node makes each root of its right argument cover every
+    root of its left one.  The masks are then laid out in ``label_key``
+    order and certified once, as the :class:`Shrub` constructor ends.
+    Anything that is not a word over ``C`` and ``D`` with distinct int or
+    str leaf labels raises :class:`MalformedWord`.
     """
     if not isinstance(word, GenWord):
         raise MalformedWord(f"not a generator word: {word!r}")
@@ -308,23 +322,26 @@ def evaluate(word: GenWord) -> Shrub:
     if not distinct:
         raise MalformedWord("leaf labels repeat")
 
-    height = {}
-    edges = []
-    roots = []  # the height-0 labels of each evaluated argument, innermost last
+    # leaf k of this walk is labels[k]: both walks go depth-first, left first
+    heights = []
+    covers = []
+    roots = []  # the mask of the height-0 leaves of each evaluated argument, innermost last
     stack = [(word, 0, False)]
     while stack:
         w, h, done = stack.pop()
         if w.gen == "leaf":
             if not _is_label(w.label):
                 raise MalformedWord(f"leaf labels must be int or str, got {w.label!r}")
-            height[w.label] = h
-            roots.append([w.label])
+            roots.append(1 << len(heights))
+            heights.append(h)
+            covers.append(0)
         elif done:
             right = roots.pop()
             if w.gen == "C":
-                roots[-1].extend(right)
+                roots[-1] |= right
             elif w.gen == "D":
-                edges.extend((a, b) for a in roots[-1] for b in right)
+                for b in _bits(right):
+                    covers[b] |= roots[-1]
             else:
                 raise MalformedWord(f"unknown generator {w.gen!r}")
         elif len(w.args) != 2:
@@ -334,7 +351,7 @@ def evaluate(word: GenWord) -> Shrub:
             stack.append((w, h, True))
             stack.append((right, h + 1 if w.gen == "D" else h, False))
             stack.append((left, h, False))
-    return Shrub(labels, height, edges)
+    return _laid_out(labels, heights, covers, range(len(labels)))
 
 
 def fresh_slots(avoid, count=None):
@@ -438,10 +455,11 @@ def decompose(P: Shrub) -> GenWord:
         keys[kept] = label_key(slot)
         join(kept)
 
+    word = GenWord._trusted
     words = {}
     for gen, slot, x, y in steps:
-        left = words.pop(x) if x in words else GenWord.leaf(x)
-        right = words.pop(y) if y in words else GenWord.leaf(y)
-        words[slot] = GenWord.node(gen, slot, left, right)
+        left = words.pop(x) if x in words else word("leaf", x, None, ())
+        right = words.pop(y) if y in words else word("leaf", y, None, ())
+        words[slot] = word(gen, None, slot, (left, right))
     last = labels[kept]
-    return words.pop(last) if last in words else GenWord.leaf(last)
+    return words.pop(last) if last in words else word("leaf", last, None, ())

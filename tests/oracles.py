@@ -1,10 +1,12 @@
 """Independent test oracles, deliberately written the slow obvious way.
 
 Nothing here shares logic with the library implementations it checks: the
-pattern scan walks every 4- and 5-vertex induced subgraph, relabeling and
-the correlated merge rewrite edge lists and validate the result, isomorphism
-tries every height-preserving bijection, the canonical form tries every
-product of per-level permutations, the order-composition oracle builds
+pattern scan walks every 4- and 5-vertex induced subgraph, relabeling, the
+correlated merge and the three operad products (partial composition,
+grafting and disjoint union) rewrite edge lists and validate the result
+through ``Shrub(...)``, isomorphism tries every height-preserving
+bijection, the canonical form tries every product of per-level
+permutations, the order-composition oracle builds
 shuffles recursively (the library picks the tail's places with
 ``itertools.combinations``), compatible orders come from a recursive
 backtracker over label sets, the index-0 action substitutes variables into
@@ -24,9 +26,9 @@ import itertools
 
 from shrubs.anticyclic import SignedShrub, act
 from shrubs.core import Shrub, _bits, label_key, trivial_shrub
-from shrubs.errors import CapExceeded, LabelClash, MalformedWord, NotCorrelated, NotInImage
+from shrubs.errors import CapExceeded, LabelClash, MalformedWord, NotCorrelated, NotInImage, UnknownLabel
 from shrubs.mould import FactoredFraction, LinearForm, kappa
-from shrubs.operad import GenWord, disjoint_union, fresh_slots, graft
+from shrubs.operad import GenWord, fresh_slots
 from shrubs.reconstruction import reconstruct
 from shrubs.zinbiel import ORDER_CAP
 
@@ -119,6 +121,58 @@ def oracle_merge_correlated(P: Shrub, a, b, new_label) -> Shrub:
     edges = [e for e in P.edges if a not in e and b not in e]
     edges += [(new_label, t) for t in down] + [(s, new_label) for s in up]
     return Shrub(keep + [new_label], height, edges)
+
+
+def oracle_compose(P: Shrub, i, Q: Shrub) -> Shrub:
+    """Substitute ``Q`` into vertex ``i`` of ``P``: list the edges by label,
+    join every former neighbor of ``i`` to every root of ``Q``, and validate
+    the result through ``Shrub(...)``."""
+    if not isinstance(i, (int, str)) or isinstance(i, bool) or i not in P.labels:
+        raise UnknownLabel(i, "composition slot")
+    clash = (set(P.labels) - {i}) & set(Q.labels)
+    if clash:
+        raise LabelClash(sorted(clash, key=label_key))
+    if len(Q) == 0:
+        raise ValueError("cannot compose with an empty shrub")
+    hi = P.height(i)
+    vertices = [v for v in P.labels if v != i] + list(Q.labels)
+    height = {v: P.height(v) for v in P.labels if v != i}
+    for v in Q.labels:
+        height[v] = Q.height(v) + hi
+    edges = [e for e in P.edges if i not in e]
+    edges.extend(Q.edges)
+    for j in P.covers(i) | P.covered_by(i):
+        for r in Q.roots():
+            edges.append((j, r))
+    return Shrub(vertices, height, edges)
+
+
+def _oracle_check_disjoint(P: Shrub, Q: Shrub):
+    clash = set(P.labels) & set(Q.labels)
+    if clash:
+        raise LabelClash(sorted(clash, key=label_key))
+
+
+def oracle_disjoint_union(P: Shrub, Q: Shrub) -> Shrub:
+    """``P`` and ``Q`` side by side, validated through ``Shrub(...)``."""
+    _oracle_check_disjoint(P, Q)
+    height = P.height_map
+    height.update(Q.height_map)
+    return Shrub(P.labels + Q.labels, height, list(P.edges) + list(Q.edges))
+
+
+def oracle_graft(P: Shrub, Q: Shrub) -> Shrub:
+    """``Q`` one level up, each of its roots joined to every root of ``P``,
+    validated through ``Shrub(...)``."""
+    _oracle_check_disjoint(P, Q)
+    height = P.height_map
+    for v in Q.labels:
+        height[v] = Q.height(v) + 1
+    edges = list(P.edges) + list(Q.edges)
+    for a in P.roots():
+        for b in Q.roots():
+            edges.append((a, b))
+    return Shrub(P.labels + Q.labels, height, edges)
 
 
 def graph_candidates(n):
@@ -419,7 +473,7 @@ def _oracle_connected(f: FactoredFraction, labels) -> Shrub:
         rest = FactoredFraction(f.sign, f.scalar, f.num, den)
         if i in rest.labels:
             raise NotInImage(f"u{i} survives after stripping the root factor")
-        return graft(trivial_shrub(i), _oracle_rebuild(rest, labels - {i}))
+        return oracle_graft(trivial_shrub(i), _oracle_rebuild(rest, labels - {i}))
     root_set = frozenset(roots)
     candidates = [g for g in f.num if root_set <= g.support()]
     if len(candidates) != 1:
@@ -437,7 +491,7 @@ def _oracle_connected(f: FactoredFraction, labels) -> Shrub:
     den_q, den_r = _split_by_support(den, q_labels, r_labels)
     fq = FactoredFraction(f.sign, f.scalar, num_q, den_q)
     fr = FactoredFraction(1, 1, num_r, den_r)
-    return graft(_oracle_rebuild(fq, q_labels), _oracle_rebuild(fr, r_labels))
+    return oracle_graft(_oracle_rebuild(fq, q_labels), _oracle_rebuild(fr, r_labels))
 
 
 def _oracle_rebuild(f: FactoredFraction, labels) -> Shrub:
@@ -467,7 +521,7 @@ def _oracle_rebuild(f: FactoredFraction, labels) -> Shrub:
             den_by_part[p],
         )
         pieces.append(_oracle_rebuild(piece_fraction, p))
-    return functools.reduce(disjoint_union, pieces)
+    return functools.reduce(oracle_disjoint_union, pieces)
 
 
 def oracle_reconstruct(f: FactoredFraction, cap: int | None = None) -> Shrub:
@@ -500,9 +554,9 @@ def oracle_evaluate(word: GenWord) -> Shrub:
             raise MalformedWord("a generator node needs exactly two args")
         left, right = (ev(a) for a in w.args)
         if w.gen == "C":
-            return disjoint_union(left, right)
+            return oracle_disjoint_union(left, right)
         if w.gen == "D":
-            return graft(left, right)
+            return oracle_graft(left, right)
         raise MalformedWord(f"unknown generator {w.gen!r}")
 
     return ev(word)

@@ -110,6 +110,13 @@ class TestLinearForm:
             LinearForm.normalize({1: c, 2: 1})
         assert str(info.value) == f"the coefficient of 1 must be an int, got {c!r}"
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, True, 0, Fraction(1)])
+    def test_raw_forms_take_only_nonzero_int_coefficients(self, c):
+        # 0.5 used to make evaluate return floats, and 0 printed as 0*u1
+        with pytest.raises(ValueError) as info:
+            LinearForm(((2, 1), (1, c)))
+        assert str(info.value) == f"the coefficient of 1 must be a nonzero int, got {c!r}"
+
     def test_substitution_refuses_non_int_coefficients(self):
         # these used to give -1/((u2)(0*u3-u4)) and 1/2*1/((u2)(u3))
         for rep, bad in (({3: 0.5, 4: 1}, 0.5), ({3: 2.7}, 2.7)):
@@ -135,6 +142,15 @@ class TestFactoredFraction:
                 FactoredFraction(sign, scalar, [], [u1])
         got = FactoredFraction(-1, 1, [], [u1]).evaluate({1: 2})
         assert got == Fraction(-1, 2) and type(got) is Fraction
+
+    @pytest.mark.parametrize("scalar", [0.1, 1.0, True, "1/2"])
+    def test_scalar_must_be_an_int_or_a_fraction(self, scalar):
+        # 0.1 used to be read at its binary value, 3602879701896397/36028797018963968
+        with pytest.raises(ValueError) as info:
+            FactoredFraction(1, scalar, [], [u1])
+        assert str(info.value) == f"the scalar must be an int or a Fraction, got {scalar!r}"
+        assert FactoredFraction(1, Fraction(1, 10), [], [u1]).scalar == Fraction(1, 10)
+        assert FactoredFraction(1, -3, [], [u1]) == FactoredFraction(-1, Fraction(3), [], [u1])
 
     def test_compose_cancellation(self):
         # (1/(u1 u2)) o_1 (1/(u3 u4)) = 1/(u2 u3 u4)

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from shrubs import (
     MalformedWord,
     Shrub,
     UnknownLabel,
+    Unsupported,
     compose,
     decompose,
     disjoint_union,
@@ -23,13 +25,16 @@ from shrubs import (
     trivial_shrub,
 )
 from shrubs.checks import all_shrubs, random_shrub
-from shrubs.core import _read_word_json
+from shrubs.core import _read_word_json, label_key
 
 from helpers import chain, stack_depth
 from oracles import (
     dataclass_repr,
+    oracle_compose,
     oracle_decompose,
+    oracle_disjoint_union,
     oracle_evaluate,
+    oracle_graft,
     oracle_word_from_json_obj,
     oracle_word_json_obj,
 )
@@ -69,6 +74,12 @@ class TestCompose:
         # the substituted shrub may reuse the consumed slot label
         assert compose(trivial_shrub(1), 1, pair_generator(1, 2)) == pair_generator(1, 2)
 
+    @pytest.mark.parametrize("label", [1, "a"])
+    def test_generators_refuse_one_label_twice(self, label):
+        for generator in (pair_generator, graft_generator):
+            with pytest.raises(LabelClash, match=f"^label clash on \\({label!r},\\)$"):
+                generator(label, label)
+
 
 class TestProducts:
     def test_union_commutative_associative(self):
@@ -92,6 +103,108 @@ class TestProducts:
     def test_graft_of_trivials_is_edge(self):
         assert graft(trivial_shrub(1), trivial_shrub(2)) == graft_generator(1, 2)
         assert disjoint_union(trivial_shrub(1), trivial_shrub(2)) == pair_generator(1, 2)
+
+
+# mixed int and str labels for the two operands of a product, disjoint
+LEFT_LABELS = (3, "a", -1, "□0")
+RIGHT_LABELS = ("b", 0, "□1", 9)
+EMPTY = Shrub([], {}, [])
+
+
+def on_labels(P, labels, turn):
+    """``P`` relabeled to ``labels`` rotated by ``turn``, so that int and str
+    labels fall on different vertices from one shrub to the next."""
+    k = turn % len(labels)
+    return P.relabel(dict(zip(P.labels, labels[k:] + labels[:k])))
+
+
+def operand_pairs(total):
+    """Every pair of shrubs ``(P, Q)`` with |P| + |Q| <= ``total``, on
+    ``LEFT_LABELS`` and ``RIGHT_LABELS``."""
+    for n in range(1, total):
+        for m in range(1, total - n + 1):
+            for a, P in enumerate(all_shrubs(n)):
+                for b, Q in enumerate(all_shrubs(m)):
+                    yield on_labels(P, LEFT_LABELS, a), on_labels(Q, RIGHT_LABELS, b)
+
+
+def assert_same_outcome(fn, oracle, *args):
+    got, want = outcome(fn, *args), outcome(oracle, *args)
+    assert got == want, args
+    assert got[0] != "ok" or type(got[1]) is Shrub
+
+
+class TestProductsAgainstOracle:
+    """The mask products against the edge-list products validated through
+    ``Shrub(...)``: the same shrub, or the same exception and message."""
+
+    def test_every_pair_up_to_five(self):
+        for P, Q in operand_pairs(5):
+            for i in P.labels:
+                assert_same_outcome(compose, oracle_compose, P, i, Q)
+                # Q may reuse the slot label; it may not reuse another label of P
+                assert_same_outcome(compose, oracle_compose, P, i, Q.relabel({Q.labels[0]: i}))
+                for j in P.labels:
+                    if j != i:
+                        assert_same_outcome(compose, oracle_compose, P, i, Q.relabel({Q.labels[-1]: j}))
+            for left, right in ((P, Q), (Q, P), (P, Q.relabel({Q.labels[0]: P.labels[-1]}))):
+                assert_same_outcome(graft, oracle_graft, left, right)
+                assert_same_outcome(disjoint_union, oracle_disjoint_union, left, right)
+
+    @pytest.mark.parametrize("slot", [1.0, True, None, [1], "1", 0])
+    def test_slots_that_are_not_labels_of_the_outer_shrub(self, slot):
+        Q = on_labels(pair_generator(1, 2), RIGHT_LABELS, 0)
+        for P in all_shrubs(2):
+            assert_same_outcome(compose, oracle_compose, P, slot, Q)
+            with pytest.raises(UnknownLabel, match="composition slot"):
+                compose(P, slot, Q)
+
+    def test_empty_operands(self):
+        for n in range(1, 4):
+            for b, Q in enumerate(all_shrubs(n)):
+                Q = on_labels(Q, RIGHT_LABELS, b)
+                least_root = min(Q.roots(), key=label_key)
+                with pytest.raises(Unsupported, match=f"^vertex {least_root!r} has positive height"):
+                    graft(EMPTY, Q)
+                assert graft(Q, EMPTY) == Q
+                assert disjoint_union(EMPTY, Q) == Q == disjoint_union(Q, EMPTY)
+                for i in Q.labels:
+                    with pytest.raises(ValueError, match="cannot compose with an empty shrub"):
+                        compose(Q, i, EMPTY)
+                cases = [(fn, oracle, *args) for args in ((EMPTY, Q), (Q, EMPTY))
+                         for fn, oracle in ((graft, oracle_graft), (disjoint_union, oracle_disjoint_union))]
+                cases += [(compose, oracle_compose, Q, i, EMPTY) for i in Q.labels]
+                cases += [(compose, oracle_compose, EMPTY, i, Q) for i in Q.labels]
+                cases.append((compose, oracle_compose, Q, 1.0, EMPTY))
+                for fn, oracle, *args in cases:
+                    assert_same_outcome(fn, oracle, *args)
+        assert graft(EMPTY, EMPTY) == EMPTY == disjoint_union(EMPTY, EMPTY)
+
+
+def test_products_and_evaluate_build_nothing_through_the_constructor(monkeypatch):
+    """The products and ``evaluate`` lay out cover masks; none of them goes
+    back through the edge lists of the validating constructor."""
+    shrubs = [P for n in range(1, 5) for P in all_shrubs(n)]
+    Q = graft_generator(10, 11)
+    words = [decompose(P) for P in shrubs]
+    calls = []
+    init = Shrub.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Shrub, "__init__", counting_init)
+    for P, word in zip(shrubs, words):
+        for i in P.labels:
+            compose(P, i, Q)
+        graft(P, Q)
+        graft(Q, P)
+        disjoint_union(P, Q)
+        assert evaluate(word) == P
+    assert calls == []
+    trivial_shrub(1)
+    assert len(calls) == 1  # the count sees the constructor
 
 
 class TestAxioms:
@@ -203,8 +316,10 @@ class TestDecomposeAgainstOracle:
 
     def test_long_chain_without_recursion(self):
         P = chain(5000)
+        start = time.perf_counter()
         word = decompose(P)
         assert evaluate(word) == P
+        assert time.perf_counter() - start < 1.0  # about 0.1 s on a 2-vCPU Xeon
         again = decompose(P)
         assert word == again and hash(word) == hash(again)
         assert word != decompose(P.relabel({5000: 5001}))
@@ -274,9 +389,9 @@ def words(draw, depth=0):
     return GenWord(gen=gen, label=draw(word_labels()), slot="s", args=args)
 
 
-def outcome(fn, word):
+def outcome(fn, *args):
     try:
-        return "ok", fn(word)
+        return "ok", fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
