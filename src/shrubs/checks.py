@@ -266,6 +266,7 @@ def _shrubs_by_decomposition(n: int) -> list:
         return connected, disconnected
 
     connected, disconnected = split(tuple(range(1, n + 1)))
+    split.cache_clear()  # ``split`` refers to itself, so the memo would outlive this call until a full collection
     return connected + disconnected
 
 

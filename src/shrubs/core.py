@@ -150,18 +150,24 @@ def _bits(mask):
         mask ^= low
 
 
-def _composed_labels(outer, i, inner) -> frozenset:
-    """The labels of the partial composition of ``inner`` into the slot
-    ``i`` of ``outer``, the rule every partial composition shares: ``i``
-    must be a label of ``outer``, and the other labels of ``outer`` must
-    miss ``inner``."""
-    if not _is_label(i) or i not in outer:
-        raise UnknownLabel(i, "composition slot")
-    rest = frozenset(outer) - {i}
-    clash = rest.intersection(inner)
+def _check_clash(outer, inner, slot=None):
+    """Raise :class:`LabelClash` on the labels of ``inner`` that ``outer``
+    also has, other than ``slot``, sorted by ``label_key``: the rule every
+    product and partial composition shares."""
+    clash = set(inner).intersection(outer)
+    clash.discard(slot)
     if clash:
         raise LabelClash(sorted(clash, key=label_key))
-    return rest.union(inner)
+
+
+def _composed_labels(outer, i, inner) -> frozenset:
+    """The labels of the partial composition of ``inner`` into the slot
+    ``i`` of ``outer``: ``i`` must be a label of ``outer``, and the
+    labels pass :func:`_check_clash`."""
+    if not _is_label(i) or i not in outer:
+        raise UnknownLabel(i, "composition slot")
+    _check_clash(outer, inner, i)
+    return (frozenset(outer) - {i}).union(inner)
 
 
 class RamClass(NamedTuple):
@@ -553,7 +559,10 @@ class Shrub:
         return self._restrict_mask(((1 << len(self.labels)) - 1) ^ (1 << ib)).relabel({a: new_label})
 
     def truncate_at_or_above(self, h0: int) -> "Shrub":
-        """Induced sub-shrub on heights >= ``h0``, heights shifted down."""
+        """Induced sub-shrub on heights >= ``h0``, heights shifted down;
+        ``ValueError`` unless ``h0`` is an int (not a ``bool``)."""
+        if isinstance(h0, bool) or not isinstance(h0, int):
+            raise ValueError(f"the height must be an int, got {h0!r}")
         if h0 <= 0:
             return self
         mask = 0
@@ -666,15 +675,8 @@ class Shrub:
         new = [0] * n
         for p, v in enumerate(best_order, 1):
             new[v] = p
-        covers = []
-        for v in best_order:
-            m, c = 0, self._covers[v]
-            while c:
-                low = c & -c
-                m |= 1 << (new[low.bit_length() - 1] - 1)
-                c ^= low
-            covers.append(m)
-        canon = Shrub._from_parts(tuple(range(1, n + 1)), tuple(heights[v] for v in best_order), tuple(covers))
+        covers = _remap(self._covers, best_order)
+        canon = Shrub._from_parts(tuple(range(1, n + 1)), tuple(heights[v] for v in best_order), covers)
         return canon, dict(zip(self.labels, new))
 
     def is_isomorphic(self, other: "Shrub") -> bool:
@@ -797,25 +799,17 @@ def trivial_shrub(label) -> Shrub:
 # -- enumeration ----------------------------------------------------------
 
 
-def _ordered_level_partitions(items):
+def _ordered_level_partitions(items: tuple):
     """All ways to split ``items`` into an ordered sequence of nonempty levels."""
-    items = tuple(items)
     if not items:
         yield ()
         return
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        for k in range(1, len(remaining) + 1):
-            for head in itertools.combinations(remaining, k):
-                head_set = set(head)
-                tail = tuple(v for v in remaining if v not in head_set)
-                for rest in rec(tail):
-                    yield (head,) + rest
-
-    yield from rec(items)
+    for k in range(1, len(items) + 1):
+        for head in itertools.combinations(items, k):
+            head_set = set(head)
+            tail = tuple(v for v in items if v not in head_set)
+            for rest in _ordered_level_partitions(tail):
+                yield (head,) + rest
 
 
 def enumerate_shrubs_bruteforce(n: int) -> tuple:

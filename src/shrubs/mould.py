@@ -40,6 +40,15 @@ POLY_TERM_CAP = 200_000
 EXTRACTION_CAP = 6
 
 
+def _exact(c, what) -> Fraction:
+    """``c`` as a ``Fraction``; ``ValueError`` naming ``what`` unless ``c``
+    is an int (not a ``bool``) or a ``Fraction``, since a float would be
+    read at its binary value."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {c!r}")
+    return Fraction(c)
+
+
 # -- sparse polynomials -----------------------------------------------------
 
 
@@ -55,7 +64,7 @@ class Polynomial:
     def __init__(self, terms=None):
         clean = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _exact(c, "a coefficient")
             if c:
                 mono = tuple(sorted(((v, e) for v, e in mono if e), key=lambda p: label_key(p[0])))
                 clean[mono] = clean.get(mono, Fraction(0)) + c
@@ -63,7 +72,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls({(): Fraction(c)})
+        return cls({(): _exact(c, "a coefficient")})
 
     @classmethod
     def var(cls, label) -> "Polynomial":
@@ -93,7 +102,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other, cap=POLY_TERM_CAP):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         out = {}
         for m1, c1 in self.terms.items():
@@ -111,7 +120,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c, "a coefficient")
         return Polynomial({m: cc * c for m, cc in self.terms.items()})
 
     def degree_in(self, label) -> int:
@@ -325,9 +334,7 @@ class FactoredFraction:
     __slots__ = ("sign", "scalar", "num", "den", "_hash", "_masks")
 
     def __init__(self, sign=1, scalar=1, num=(), den=()):
-        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
-            raise ValueError(f"the scalar must be an int or a Fraction, got {scalar!r}")
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar, "the scalar")
         if type(sign) is not int or sign not in (1, -1) or scalar == 0:
             raise ValueError("sign must be +-1 and the scalar nonzero")
         if scalar < 0:
@@ -516,7 +523,7 @@ class MouldElement:
         self.labels = frozenset(labels)
         acc = {}
         for coeff, ff in terms:
-            coeff = Fraction(coeff) * ff.sign * ff.scalar
+            coeff = _exact(coeff, "a coefficient") * ff.sign * ff.scalar
             key = FactoredFraction(1, 1, ff.num, ff.den)
             acc[key] = acc.get(key, Fraction(0)) + coeff
         pairs = [(c, ff) for ff, c in acc.items() if c]
@@ -540,7 +547,8 @@ class MouldElement:
         return MouldElement(self.labels, self.terms + other.terms)
 
     def scale(self, c) -> "MouldElement":
-        return MouldElement(self.labels, [(Fraction(c) * cc, ff) for cc, ff in self.terms])
+        c = _exact(c, "a coefficient")
+        return MouldElement(self.labels, [(c * cc, ff) for cc, ff in self.terms])
 
     def __neg__(self):
         return self.scale(-1)
@@ -735,14 +743,27 @@ def kappa(P: Shrub) -> FactoredFraction:
 # -- expansion and equality ---------------------------------------------------
 
 
-def _product_poly(forms, cap=POLY_TERM_CAP):
+def _product_poly(forms):
     out = Polynomial.constant(1)
     for f in forms:
-        out = out.__mul__(f.to_polynomial(), cap=cap)
+        out = out * f.to_polynomial()
     return out
 
 
-def expand(x: MouldElement, cap: int = POLY_TERM_CAP):
+def _numerator_over(terms, den) -> Polynomial:
+    """The numerator ``N`` of the sum of ``c * F`` over the pairs ``(c, F)``
+    of ``terms``, written over the product of the forms ``den``: a
+    multiset holding the denominator of every ``F``."""
+    N = Polynomial({})
+    for c, ff in terms:
+        cofactor = list(den)
+        for f in ff.den:
+            cofactor.remove(f)
+        N = N + _product_poly(ff.num + tuple(cofactor)).scale(c * ff.sign * ff.scalar)
+    return N
+
+
+def expand(x: MouldElement):
     """Write ``x`` as a single ratio ``(N, D)`` of expanded polynomials.
 
     ``D`` is the product of every distinct denominator factor across terms
@@ -759,25 +780,15 @@ def expand(x: MouldElement, cap: int = POLY_TERM_CAP):
     all_den = []
     for f, m in sorted(den_mult.items(), key=lambda p: p[0].sort_key()):
         all_den.extend([f] * m)
-    D = _product_poly(all_den, cap)
-    N = Polynomial({})
-    for c, ff in x.terms:
-        remaining = dict(den_mult)
-        for f in ff.den:
-            remaining[f] -= 1
-        cofactor = []
-        for f, m in sorted(remaining.items(), key=lambda p: p[0].sort_key()):
-            cofactor.extend([f] * m)
-        piece = _product_poly(list(ff.num) + cofactor, cap)
-        N = N + piece.scale(c * ff.sign * ff.scalar)
-    return N, D
+    D = _product_poly(all_den)
+    return _numerator_over(x.terms, all_den), D
 
 
-def equals(x: MouldElement, y: MouldElement, cap: int = POLY_TERM_CAP) -> bool:
+def equals(x: MouldElement, y: MouldElement) -> bool:
     """Exact equality as rational functions, by cross-multiplication."""
-    nx, dx = expand(x, cap)
-    ny, dy = expand(y, cap)
-    return nx.__mul__(dy, cap=cap) == ny.__mul__(dx, cap=cap)
+    nx, dx = expand(x)
+    ny, dy = expand(y)
+    return nx * dy == ny * dx
 
 
 # -- extracting total orders ---------------------------------------------------
@@ -789,7 +800,8 @@ def _peel_factored(f: FactoredFraction, labels):
     Multiplies by the label sum and reads off, per candidate minimum ``a``,
     the leading behavior as ``u_a`` grows: factors containing ``u_a`` drop
     out into the scalar.  Each split ``F == sum of limits`` is verified by
-    exact polynomial arithmetic, which certifies the final answer.
+    exact polynomial arithmetic (``F`` minus its limits has numerator zero
+    over ``F.den``), which certifies the final answer.
     """
     if len(labels) == 1:
         (a,) = labels
@@ -826,21 +838,7 @@ def _peel_factored(f: FactoredFraction, labels):
         limits.append(g_a)
         for order, c in _peel_factored(g_a, labels - {a}).items():
             coeffs[(a,) + order] = c
-    # verify F == sum of the limits over the common denominator F.den
-    target = _product_poly(F.num).scale(F.sign * F.scalar)
-    den_mult = {}
-    for g in F.den:
-        den_mult[g] = den_mult.get(g, 0) + 1
-    total = Polynomial({})
-    for g_a in limits:
-        remaining = dict(den_mult)
-        for g in g_a.den:
-            remaining[g] -= 1
-        cofactor = list(g_a.num)
-        for g, m in remaining.items():
-            cofactor.extend([g] * m)
-        total = total + _product_poly(cofactor).scale(g_a.sign * g_a.scalar)
-    if total != target:
+    if not _numerator_over([(1, F)] + [(-1, g_a) for g_a in limits], F.den).is_zero():
         raise NotInZinbielImage("the fraction does not split over candidate minima")
     return coeffs
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .core import (
     Shrub,
     _bits,
-    _composed_labels,
+    _check_clash,
     _is_label,
     _joined,
     _laid_out,
@@ -37,7 +37,7 @@ from .core import (
     parse_json,
     trivial_shrub,
 )
-from .errors import LabelClash, MalformedWord
+from .errors import MalformedWord, UnknownLabel
 
 SLOT_PREFIX = "□"  # reserved namespace for placeholder vertex names
 
@@ -49,22 +49,19 @@ def compose(P: Shrub, i, Q: Shrub) -> Shrub:
     every former neighbor of ``i`` is joined to every height-0 vertex of
     ``Q``.  The labels of ``P`` minus ``i`` and of ``Q`` must be disjoint.
     """
-    _composed_labels(P, i, Q.labels)
+    index = P._label_index()
+    k = index.get(i) if _is_label(i) else None
+    if k is None:
+        raise UnknownLabel(i, "composition slot")
+    _check_clash(index, Q.labels, i)
     if len(Q) == 0:
         raise ValueError("cannot compose with an empty shrub")
-    k = P._idx(i)
     return _joined(P, Q, P._heights[k], P._covers[k], k)
-
-
-def _check_disjoint(P: Shrub, Q: Shrub):
-    clash = set(P.labels) & set(Q.labels)
-    if clash:
-        raise LabelClash(sorted(clash, key=label_key))
 
 
 def disjoint_union(P: Shrub, Q: Shrub) -> Shrub:
     """Place ``P`` and ``Q`` side by side (commutative, associative)."""
-    _check_disjoint(P, Q)
+    _check_clash(P.labels, Q.labels)
     return _joined(P, Q)
 
 
@@ -74,7 +71,7 @@ def graft(P: Shrub, Q: Shrub) -> Shrub:
     Equals composing ``P`` and ``Q`` into the two-vertex rooted tree; the
     operation is not associative.
     """
-    _check_disjoint(P, Q)
+    _check_clash(P.labels, Q.labels)
     return _joined(P, Q, 1, sum(1 << j for j, h in enumerate(P._heights) if not h))
 
 

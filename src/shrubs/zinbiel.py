@@ -34,6 +34,7 @@ from itertools import combinations
 
 from .core import Shrub, _composed_labels, _upward, label_key
 from .errors import CapExceeded, LabelClash, UnknownLabel
+from .mould import _exact
 
 ORDER_CAP = 9  # linear-extension enumeration is exponential past this
 _ONE = Fraction(1)
@@ -57,7 +58,7 @@ class ZinbElement:
             order = tuple(order)
             if frozenset(order) != labels or len(order) != len(labels):
                 raise UnknownLabel(order, "order over the wrong label set")
-            c = Fraction(c)
+            c = _exact(c, "a coefficient")
             if c:
                 clean[order] = clean.get(order, Fraction(0)) + c
         clean = {o: c for o, c in clean.items() if c}
@@ -115,7 +116,7 @@ class ZinbElement:
         return self + (-other)
 
     def scale(self, c) -> "ZinbElement":
-        c = Fraction(c)
+        c = _exact(c, "a coefficient")
         return ZinbElement(self.labels, {o: cc * c for o, cc in self.coeffs.items()})
 
     def text(self) -> str:

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import json
 import pickle
+import pkgutil
 import random
 import time
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shrubs
 from shrubs import (
     ForbiddenPattern,
     HeightJump,
@@ -229,6 +232,12 @@ class TestQueries:
         assert P.truncate_at_or_above(1) == chain(2, 3)
         assert P.truncate_at_or_above(0) == P
         assert len(P.truncate_at_or_above(5)) == 0
+
+    @pytest.mark.parametrize("h0", [1.5, True, "1"])
+    def test_truncate_refuses_a_height_not_an_int(self, h0):
+        with pytest.raises(ValueError) as info:
+            chain(1, 2, 3).truncate_at_or_above(h0)
+        assert str(info.value) == f"the height must be an int, got {h0!r}"
 
     def test_relabel_clash_names_each_label_once(self):
         P = Shrub([1, 2, 3, 4], {1: 0, 2: 0, 3: 0, 4: 0}, [])
@@ -614,3 +623,25 @@ def test_relabel_roundtrip_property(n, rng):
     mapping = dict(zip(P.labels, perm))
     inverse = {v: k for k, v in mapping.items()}
     assert P.relabel(mapping).relabel(inverse) == P
+
+
+def test_module_level_caches_are_bounded():
+    """Every ``functools`` cache at module level in ``shrubs.*``, on a
+    function or a class attribute, keeps at most ``maxsize`` entries."""
+    sizes = {}
+    for info in pkgutil.iter_modules(shrubs.__path__):
+        module = importlib.import_module(f"shrubs.{info.name}")
+        for value in vars(module).values():
+            found = [value]
+            if isinstance(value, type):
+                found += [getattr(value, name) for name in vars(value)]
+            for obj in found:
+                if hasattr(obj, "cache_info"):
+                    sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    assert {name for name, size in sizes.items() if size is None} == set()
+    assert {
+        "shrubs.mould.kappa",
+        "shrubs.reconstruction._reconstruct_checked",
+        "shrubs.anticyclic._generators",
+        "shrubs.checks.all_shrubs",
+    } <= set(sizes)

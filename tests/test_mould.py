@@ -506,6 +506,13 @@ class TestExtraction:
         with pytest.raises(NotInZinbielImage):
             zinb_extract(MouldElement.from_fraction(FactoredFraction(num=[u12], den=[u1, u2, u2])))
 
+    def test_split_certificate(self):
+        # every degree test passes: only the exact split check refuses it
+        f = MouldElement.from_fraction(inv(u1, form((1, 1), (2, 2))))
+        with pytest.raises(NotInZinbielImage) as info:
+            zinb_extract(f)
+        assert str(info.value) == "the fraction does not split over candidate minima"
+
     def test_cap(self):
         big = FactoredFraction(den=[form((k, 1)) for k in range(1, 8)])
         with pytest.raises(CapExceeded):
@@ -549,6 +556,30 @@ class TestDeformation:
         assert len({a, RationalFunction({1, 2}, u1, one)}) == 2
         same = RationalFunction({1}, u1 * Polynomial.constant(2), Polynomial.constant(2))
         assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+
+
+COEFFICIENT_TAKERS = {
+    "ZinbElement": lambda c: ZinbElement({1, 2}, {(1, 2): c}),
+    "ZinbElement.scale": lambda c: ZinbElement.from_order((1, 2)).scale(c),
+    "MouldElement": lambda c: MouldElement({1}, [(c, inv(u1))]),
+    "MouldElement.scale": lambda c: MouldElement.from_fraction(inv(u1)).scale(c),
+    "Polynomial": lambda c: Polynomial({((1, 1),): c}),
+    "Polynomial.scale": lambda c: Polynomial.var(1).scale(c),
+    "Polynomial.constant": lambda c: Polynomial.constant(c),
+    "Polynomial.__mul__": lambda c: Polynomial.var(1) * c,
+    "Polynomial.__rmul__": lambda c: c * Polynomial.var(1),
+}
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, True, "1/2"])
+@pytest.mark.parametrize("name", COEFFICIENT_TAKERS)
+def test_coefficient_must_be_an_int_or_a_fraction(name, c):
+    # a float would be read at its binary value: 0.1 as 3602879701896397/36028797018963968
+    take = COEFFICIENT_TAKERS[name]
+    with pytest.raises(ValueError) as info:
+        take(c)
+    assert str(info.value) == f"a coefficient must be an int or a Fraction, got {c!r}"
+    assert take(Fraction(1, 10)) == take(Fraction(2, 20)) != take(1)
 
 
 def five_compositions(P, i, Q):

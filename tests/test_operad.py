@@ -1,8 +1,10 @@
 import copy
+import gc
 import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from shrubs import (
     pair_generator,
     trivial_shrub,
 )
-from shrubs.checks import all_shrubs, random_shrub
+from shrubs.checks import _shrubs_by_decomposition, all_shrubs, random_shrub
 from shrubs.core import _read_word_json, label_key
 
 from helpers import chain, stack_depth
@@ -512,3 +514,19 @@ def test_flat_reader_reads_every_word():
 class TestGeneratorEnumeration:
     def test_matches_bruteforce(self):
         holds("operad/enumeration-agreement")
+
+    def test_leaves_no_memo_behind(self):
+        # the memo's cached function refers to itself, so with the cyclic
+        # collector off only clearing the memo frees it
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _shrubs_by_decomposition(6)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert left < 4 * 2**20
