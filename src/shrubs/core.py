@@ -65,6 +65,11 @@ def _check_label(label):
     return label
 
 
+def _check_height(h):
+    if isinstance(h, bool) or not isinstance(h, int):
+        raise ValueError(f"the height must be an int, got {h!r}")
+
+
 def parse_json(text: str):
     """``json.loads``, for generator words of any depth.
 
@@ -142,12 +147,27 @@ def _read_word_json(text: str):
     return word if i == len(text) else None
 
 
+# the set-bit indices of every mask below 256, so that a small one is one lookup
+_BYTE_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def _bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending, as an iterable."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    return _wide_bits(mask)
+
+
+def _wide_bits(mask):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _low_bit(mask):
+    """Index of the lowest set bit of ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _check_clash(outer, inner, slot=None):
@@ -243,15 +263,14 @@ def _find_pattern(covers):
         if cw & (cw - 1):
             # a differing pair exists exactly when some vertex differs from
             # the first, and the first such pair is also first in pair order
-            rest = _bits(cw)
-            x = next(rest)
-            for y in rest:
+            x = _low_bit(cw)
+            for y in _bits(cw & (cw - 1)):
                 if covers[x] != covers[y]:
                     diff = covers[y] & ~covers[x]
                     if not diff:
                         x, y = y, x
                         diff = covers[y] & ~covers[x]
-                    z = next(_bits(diff))
+                    z = _low_bit(diff)
                     return "F4", (w, x, y, z)
     covered = _upward(covers)
     for x, cx in enumerate(covers):
@@ -268,9 +287,9 @@ def _find_pattern(covers):
             y = x + low.bit_length()
             cy = covers[y]
             if cx & ~cy and cy & ~cx:
-                p = next(_bits(cx & ~cy))
-                q = next(_bits(cx & cy))
-                r = next(_bits(cy & ~cx))
+                p = _low_bit(cx & ~cy)
+                q = _low_bit(cx & cy)
+                r = _low_bit(cy & ~cx)
                 return "F5", (x, y, p, q, r)
     return None
 
@@ -418,6 +437,9 @@ class Shrub:
         return frozenset(v for v, h in zip(self.labels, self._heights) if h == 0)
 
     def level(self, h) -> frozenset:
+        """The vertices at height ``h``; ``ValueError`` unless ``h`` is an
+        int (not a ``bool``)."""
+        _check_height(h)
         return frozenset(v for v, hh in zip(self.labels, self._heights) if hh == h)
 
     def sort_key(self):
@@ -502,8 +524,15 @@ class Shrub:
 
         A subset is an upper ideal when its complement induces a shrub; the
         minimal one generated by ``seed`` consists of the vertices all of
-        whose descending paths to height 0 pass through ``seed``.
+        whose descending paths to height 0 pass through ``seed``, an
+        iterable of labels; ``ValueError`` for a str or a non-iterable seed.
         """
+        if isinstance(seed, str):
+            raise ValueError(f"the seed must be an iterable of labels, not the str {seed!r}")
+        try:
+            seed = iter(seed)
+        except TypeError:
+            raise ValueError(f"the seed must be an iterable of labels, got {seed!r}") from None
         seed_mask = 0
         for v in seed:
             seed_mask |= 1 << self._idx(v)
@@ -561,8 +590,7 @@ class Shrub:
     def truncate_at_or_above(self, h0: int) -> "Shrub":
         """Induced sub-shrub on heights >= ``h0``, heights shifted down;
         ``ValueError`` unless ``h0`` is an int (not a ``bool``)."""
-        if isinstance(h0, bool) or not isinstance(h0, int):
-            raise ValueError(f"the height must be an int, got {h0!r}")
+        _check_height(h0)
         if h0 <= 0:
             return self
         mask = 0

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .core import Shrub, _composed_labels, label_key
+from .core import _BYTE_BITS, Shrub, _composed_labels, label_key
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -611,7 +611,9 @@ def embed_zinb(x: ZinbElement) -> MouldElement:
 # kept as two tuples of ints, the numerator and denominator masks, sorted
 # numerically: bit ``i`` of a mask stands for ``labels[i]``.  A factored
 # fraction of a shrub keeps that record; its text is written from the masks,
-# and its linear forms are built only when something reads them.
+# and its linear forms are built only when something reads them.  Text over
+# at most eight labels comes from a table per label set (``_factor_texts``,
+# the last 16 sets); other sets write each factor from its row.
 
 
 def shrub_masks(P: Shrub) -> tuple:
@@ -679,21 +681,78 @@ def _forms(labels, masks) -> tuple:
     return tuple(LinearForm(tuple(map(terms.__getitem__, row))) for row in _rows(masks))
 
 
+# Label sets of at most _TABLE_LABELS labels have masks below 256.  Their
+# factors sort on _MASK_RANK, each mask's position among all of them in
+# LinearForm.sort_key order (the same order on any subset of the bits), and
+# read their text from a per-label-set table.
+_TABLE_LABELS = 8
+
+
+def _mask_ranks() -> tuple:
+    rank = [0] * 256
+    for r, m in enumerate(sorted(range(256), key=_BYTE_BITS.__getitem__)):
+        rank[m] = r
+    return tuple(rank)
+
+
+_MASK_RANK = _mask_ranks()
+
+
+@functools.lru_cache(maxsize=16)
+def _factor_texts(labels):
+    """``(texts, names)`` for ``labels``: a mask -> factor text dict such as
+    ``{5: "(u1+u3)"}``, filled on a miss, and each label's ``u`` name;
+    ``None`` when fraction text cannot carry a label (the rows name it)."""
+    try:
+        for v in labels:
+            _check_text_label(v)
+    except ValueError:
+        return None
+    return {}, [f"u{v}" for v in labels]
+
+
 def _mask_text(labels, num, den) -> str:
-    """:func:`format_fraction` of a mask record, written from the rows.
-    Labels are checked in writing order, so a refused one is the one the
-    forms would name."""
+    """:func:`format_fraction` of a mask record."""
+    table = _factor_texts(labels) if len(labels) <= _TABLE_LABELS else None
+    num, den = _row_texts(labels, num, den) if table is None else _table_texts(table, num, den)
+    num_text = "".join(num) or "1"
+    if not den:
+        return num_text
+    den_text = "".join(den)
+    return f"{num_text}/({den_text})" if len(den) > 1 else f"{num_text}/{den_text}"
+
+
+def _table_texts(table, num, den) -> tuple:
+    """The factor texts of ``num`` and of ``den``, in writing order, read
+    from the :func:`_factor_texts` table of their labels."""
+    texts, names = table
+    written = []
+    for masks in (num, den):
+        out = []
+        for m in sorted(masks, key=_MASK_RANK.__getitem__):
+            text = texts.get(m)
+            if text is None:
+                text = texts[m] = f"({'+'.join(map(names.__getitem__, _BYTE_BITS[m]))})"
+            out.append(text)
+        written.append(out)
+    return tuple(written)
+
+
+def _row_texts(labels, num, den) -> tuple:
+    """The factor texts of ``num`` and of ``den``, in writing order, written
+    from the rows.  Labels are checked in writing order, so a refused one
+    is the one the forms would name."""
     num, den = _rows(num), _rows(den)
     if any(type(v) is not int or v < 0 for v in labels):
         for row in num + den:
             for i in row:
                 _check_text_label(labels[i])
     names = [f"u{v}" for v in labels]
-    num_text = "".join(f"({'+'.join(map(names.__getitem__, row))})" for row in num) or "1"
-    if not den:
-        return num_text
-    den_text = "".join(f"({'+'.join(map(names.__getitem__, row))})" for row in den)
-    return f"{num_text}/({den_text})" if len(den) > 1 else f"{num_text}/{den_text}"
+
+    def text(row):
+        return f"({'+'.join(map(names.__getitem__, row))})"
+
+    return list(map(text, num)), list(map(text, den))
 
 
 def fraction_of_shrub(P: Shrub) -> FactoredFraction:

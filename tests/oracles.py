@@ -25,7 +25,7 @@ import functools
 import itertools
 
 from shrubs.anticyclic import SignedShrub, act
-from shrubs.core import Shrub, _bits, label_key, trivial_shrub
+from shrubs.core import Shrub, label_key, trivial_shrub
 from shrubs.errors import CapExceeded, LabelClash, MalformedWord, NotCorrelated, NotInImage, UnknownLabel
 from shrubs.mould import FactoredFraction, LinearForm, kappa
 from shrubs.operad import GenWord, fresh_slots
@@ -243,8 +243,7 @@ def oracle_canonical_form(P: Shrub):
         levels.append(list(grp))
     edge_idx = []
     for j, m in enumerate(P._covers):
-        for i in _bits(m):
-            edge_idx.append((i, j))
+        edge_idx += [(i, j) for i in range(m.bit_length()) if m >> i & 1]
     best = None
     best_assign = None
     for perms in itertools.product(*(itertools.permutations(lv) for lv in levels)):

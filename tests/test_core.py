@@ -16,6 +16,7 @@ from shrubs import (
     ForbiddenPattern,
     HeightJump,
     LabelClash,
+    LinearForm,
     NotALeaf,
     NotCorrelated,
     Shrub,
@@ -27,7 +28,8 @@ from shrubs import (
     trivial_shrub,
 )
 from shrubs.checks import all_shrubs, random_shrub
-from shrubs.core import _find_pattern
+from shrubs.core import _bits, _find_pattern
+from shrubs.reconstruction import _Weighted
 from shrubs.errors import CapExceeded, ShrubError
 from shrubs.series_parallel import count_series_parallel
 
@@ -202,6 +204,24 @@ class TestQueries:
         with pytest.raises(UnknownLabel):
             chain(1, 2).upper_ideal({9})
 
+    def test_upper_ideal_takes_any_collection_of_labels(self):
+        P = chain("a", "b", "c")
+        for seed in (["b"], {"b"}, ("b",), frozenset({"b"})):
+            assert P.upper_ideal(seed) == {"b", "c"}
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("ab", "the seed must be an iterable of labels, not the str 'ab'"),
+            (2, "the seed must be an iterable of labels, got 2"),
+            (None, "the seed must be an iterable of labels, got None"),
+        ],
+    )
+    def test_upper_ideal_refuses_a_str_or_a_non_iterable_seed(self, seed, message):
+        with pytest.raises(ValueError) as info:
+            Shrub(["a", "b"], {"a": 0, "b": 0}, []).upper_ideal(seed)
+        assert str(info.value) == message
+
     def test_leaves_and_pairs(self):
         P = chain(1, 2, 3)
         assert P.leaves() == {3}
@@ -238,6 +258,17 @@ class TestQueries:
         with pytest.raises(ValueError) as info:
             chain(1, 2, 3).truncate_at_or_above(h0)
         assert str(info.value) == f"the height must be an int, got {h0!r}"
+
+    def test_level(self):
+        P = chain(1, 2, 3)
+        assert P.level(1) == {2}
+        assert P.level(-1) == P.level(3) == frozenset()
+
+    @pytest.mark.parametrize("h", [1.0, True, "1", None])
+    def test_level_refuses_a_height_not_an_int(self, h):
+        with pytest.raises(ValueError) as info:
+            chain(1, 2, 3).level(h)
+        assert str(info.value) == f"the height must be an int, got {h!r}"
 
     def test_relabel_clash_names_each_label_once(self):
         P = Shrub([1, 2, 3, 4], {1: 0, 2: 0, 3: 0, 4: 0}, [])
@@ -625,6 +656,30 @@ def test_relabel_roundtrip_property(n, rng):
     assert P.relabel(mapping).relabel(inverse) == P
 
 
+class TestBits:
+    """``_bits`` reads masks below 256 from ``_BYTE_BITS`` and steps
+    through larger ones; both agree with a plain scan of the bits."""
+
+    @staticmethod
+    def scan(m):
+        return [i for i in range(m.bit_length()) if m >> i & 1]
+
+    def test_every_mask_below_4096(self):
+        for m in range(1 << 12):
+            assert list(_bits(m)) == self.scan(m), m
+
+    def test_seeded_wide_masks(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            m = rng.getrandbits(rng.randint(1, 5000))
+            assert list(_bits(m)) == self.scan(m)
+
+    def test_weighted_mask(self):
+        for m in (0b1011, 0b1 << 300 | 0b101):
+            weighted = _Weighted(m, LinearForm(((1, 1), (2, 3))))
+            assert list(_bits(weighted)) == self.scan(m)
+
+
 def test_module_level_caches_are_bounded():
     """Every ``functools`` cache at module level in ``shrubs.*``, on a
     function or a class attribute, keeps at most ``maxsize`` entries."""
@@ -644,4 +699,5 @@ def test_module_level_caches_are_bounded():
         "shrubs.reconstruction._reconstruct_checked",
         "shrubs.anticyclic._generators",
         "shrubs.checks.all_shrubs",
+        "shrubs.mould._factor_texts",
     } <= set(sizes)

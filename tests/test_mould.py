@@ -37,10 +37,10 @@ from shrubs import (
     zinb_compose,
     zinb_extract,
 )
-from shrubs.checks import all_shrubs
+from shrubs.checks import all_shrubs, random_shrub
 from shrubs.errors import CapExceeded, DegreeCapExceeded, LabelClash, UnknownLabel, ZeroDenominator
 from shrubs.fraction_parser import _parse_canonical, _parse_general
-from shrubs.mould import shrub_masks
+from shrubs.mould import _MASK_RANK, _factor_texts, _row_texts, _rows, _table_texts, shrub_masks
 from shrubs.reconstruction import _record
 
 from helpers import assert_deformed_relations, chain, form, stack_depth
@@ -345,6 +345,49 @@ class TestMaskBackedFraction:
             f = parse_fraction(text)
             assert f._masks == _record(form_built(f)) == fraction_of_shrub(P)._masks
             assert format_fraction(f) == text
+
+
+class TestTextTable:
+    """Fraction text over at most eight labels is read from the table of
+    its label set (``_factor_texts``) and sorted by ``_MASK_RANK``; it
+    equals the row writer's, which every other label set takes."""
+
+    @pytest.mark.parametrize(
+        "rename",
+        [lambda v: v, lambda v: v + 10, lambda v: "abcdef"[v - 1]],
+        ids=["1..n", "shifted", "a..f"],
+    )
+    def test_every_shrub_up_to_six(self, rename):
+        for n in range(1, 7):
+            labels = tuple(map(rename, range(1, n + 1)))
+            table = _factor_texts(labels)
+            for P in all_shrubs(n):
+                num, den = shrub_masks(P)
+                assert _table_texts(table, num, den) == _row_texts(labels, num, den)
+
+    @pytest.mark.parametrize("n", [9, 20])
+    def test_large_label_sets_take_the_rows(self, n):
+        P = random_shrub(range(1, n + 1), random.Random(n))
+        f = fraction_of_shrub(P)
+        _factor_texts.cache_clear()
+        assert format_fraction(f) == oracle_format_fraction(form_built(f))
+        assert _factor_texts.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("label", ["10", "a b", -3])
+    def test_labels_the_text_cannot_carry(self, label):
+        P = Shrub([1, label, "x"], {1: 0, label: 1, "x": 2}, [(1, label), (label, "x")])
+        assert _factor_texts(P.labels) is None
+        with pytest.raises(ValueError) as info:
+            format_fraction(fraction_of_shrub(P))
+        message = str(info.value)
+        assert message == text_outcome(oracle_format_fraction, form_built(fraction_of_shrub(P)))[1]
+        assert message.startswith(f"label {label!r} cannot be written in fraction text")
+        assert "\n" not in message
+
+    def test_rank_order_is_row_order(self):
+        assert sorted(_MASK_RANK) == list(range(256))
+        by_rank = sorted(range(256), key=_MASK_RANK.__getitem__)
+        assert [_rows([m])[0] for m in by_rank] == _rows(range(256))
 
 
 # built alike in two processes: a shrub on str labels, its mask-backed
