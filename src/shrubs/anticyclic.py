@@ -26,7 +26,11 @@ linear, so an orbit either holds both signs of each of its shapes or one
 sign of each.  ``(0 1)`` is an involution, so a shape first reached
 through it is not stepped through it again: an orbit of ``m`` members on
 ``s`` shapes, ``s = m/2`` when sign-closed, ``r`` of them first reached
-through ``(0 1)``, costs ``2s - r`` steps and ``s - 1`` rebuilds.
+through ``(0 1)``, costs ``2s - r`` steps and ``s`` rebuilds when cold.
+One table of shapes, at most 4096 over all ``n`` (all 3,009 shapes with
+``n <= 5``), keeps each shape's shrub, sort key and signed image under
+each generator, so an orbit whose shapes are all in it, searched from any
+member, makes no step and no rebuild.
 
 For signed forests the action has an explicit model on signed rooted trees
 with an extra vertex 0, where moving the root across an edge flips the
@@ -39,10 +43,9 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import add, attrgetter
 from typing import NamedTuple
 
-from .core import Shrub, _bits
+from .core import Shrub, _bits, _check_count
 from .errors import CapExceeded, NotAForest
 from .mould import shrub_masks
 from .reconstruction import _reconstruct_checked
@@ -214,9 +217,25 @@ def act(sigma, x: SignedShrub) -> SignedShrub:
     return SignedShrub._trusted(sign, shrub)
 
 
-# shrubs on one labels tuple of length n sort by heights then covers, as by
-# their sort keys; both tuples have length n, so by their concatenation too
-_heights, _covers = attrgetter("_heights"), attrgetter("_covers")
+# The shape table: one entry per shape over the labels 1..n that orbit has
+# met, a shape being a (num masks, den masks) pair, as the list [shrub, sort
+# key, move under (0 1), move under the cycle].  A move is the sign and the
+# shape of the image of the shape taken with sign +1, None until an orbit
+# first takes that generator from the shape; a completed search leaves both
+# moves of each of its shapes filled.  Shrubs on one labels tuple of length
+# n sort by heights then covers, as by their sort keys; both tuples have
+# length n and values below 2^n, so the sort key reads them as the digits of
+# one int, n bits each.  4096 entries hold all 3,009 shapes with n <= 5.
+@functools.lru_cache(maxsize=4096)
+def _shape(labels, shape):
+    shrub = _reconstruct_checked((labels, *shape))
+    n, key = len(labels), 0
+    for digit in shrub._heights + shrub._covers:
+        key = key << n | digit
+    return [shrub, key, None, None]
+
+
+_SWAP, _CYCLE = 2, 3  # where _shape entries keep the moves of each generator
 
 
 def orbit(x: SignedShrub, cap: int = 5) -> tuple:
@@ -230,14 +249,22 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     sign-closed, holding both signs of every shape; otherwise each shape
     appears once, with its sign.  ``(0 1)`` is an involution, so a shape
     first reached through it steps back to its parent, with the parent's
-    sign: that step is skipped.  An orbit on ``s`` shapes, ``r`` of them
-    first reached through ``(0 1)``, costs ``2s - r`` steps and ``s - 1``
-    certified rebuilds, one per shape other than that of ``x``.  Members
+    sign: that step is skipped.
+
+    The search runs on the entries of the shape table (``_shape``, at most
+    4096 shapes over all ``n``), which keep each shape's shrub, sort key and
+    image under each generator, so a process steps a shape through a
+    generator and rebuilds its shrub once while the shape stays in the
+    table.  A shape first reached through ``(0 1)`` takes its image under
+    it from its parent.  An orbit on ``s`` shapes, ``r`` of them first
+    reached through ``(0 1)``, costs at most ``2s - r`` steps and ``s``
+    certified rebuilds when cold, and none of either when all its shapes
+    are in the table, whichever member it starts from; one with more shapes
+    than the table evicts its own and costs as much each time.  Members
     share the labels ``1..n``, so they sort by heights, covers and sign, as
-    by their sort keys; each shrub's key is made once, without a Python
-    call.  An orbit can hold ``2 (n+1)!`` members, so more than ``cap``
-    labels raise ``CapExceeded`` before the search; a ``cap`` that is not an
-    int, ``True`` included, raises ``ValueError``.
+    by their sort keys.  An orbit can hold ``2 (n+1)!`` members, so more
+    than ``cap`` labels raise ``CapExceeded`` before the search; a ``cap``
+    that is not an int, ``True`` included, raises ``ValueError``.
     """
     if type(cap) is not int:
         raise ValueError(f"the orbit cap must be an int, got {cap!r}")
@@ -245,40 +272,40 @@ def orbit(x: SignedShrub, cap: int = 5) -> tuple:
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the orbit cap {cap}")
     start = shrub_masks(x.shrub)
-    seen, closed = {start: x.sign}, False
-
-    def visit(action, signs, shapes):
-        """Step signed shapes by ``action``; the signs and shapes first met."""
-        nonlocal closed
-        new_signs, new_shapes = [], []
-        for t, z in zip(*_step(action, signs, shapes)):
-            had = seen.get(z)
-            if had is None:
-                seen[z] = t
-                new_signs.append(t)
-                new_shapes.append(z)
-            elif had != t:
-                closed = True
-        return new_signs, new_shapes
-
-    swap, cycle = _generators(n)
-    swapped, others = ([], []), ([x.sign], [start])  # this level, split by how first reached
-    while swapped[1] or others[1]:
-        swapped, others = (
-            visit(swap, *others),
-            visit(cycle, swapped[0] + others[0], swapped[1] + others[1]),
-        )
     labels = x.shrub.labels
-    shapes = iter(seen)
-    next(shapes)  # the shape of x
-    shrubs = [x.shrub, *(_reconstruct_checked((labels, *z)) for z in shapes)]
-    keys = list(map(add, map(_heights, shrubs), map(_covers, shrubs)))
+    entries = [_shape(labels, start)]
+    seen, closed = {start: x.sign}, False
+    swap, cycle = _generators(n)
+    # this level's (sign, shape, entry) triples, split by how first reached
+    swapped, others = [], [(x.sign, start, entries[0])]
+    while swapped or others:
+        steps = (_SWAP, swap, others), (_CYCLE, cycle, swapped + others)
+        swapped, others = [], []
+        for (move, action, level), found in zip(steps, (swapped, others)):
+            for sign, shape, entry in level:
+                image = entry[move]
+                if image is None:
+                    [t], [z] = _step(action, [1], [shape])
+                    image = entry[move] = t, z
+                rel, z = image
+                t = rel * sign
+                had = seen.get(z)
+                if had is None:
+                    seen[z] = t
+                    target = _shape(labels, z)
+                    if move == _SWAP and target[_SWAP] is None:
+                        target[_SWAP] = rel, shape  # (0 1) is a linear involution
+                    entries.append(target)
+                    found.append((t, z, target))
+                elif had != t:
+                    closed = True
+    keys = [entry[1] for entry in entries]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     trusted = SignedShrub._trusted
     if closed:
-        return tuple(trusted(s, shrubs[i]) for i in order for s in (-1, 1))
+        return tuple(trusted(s, entries[i][0]) for i in order for s in (-1, 1))
     signs = list(seen.values())
-    return tuple(trusted(signs[i], shrubs[i]) for i in order)
+    return tuple(trusted(signs[i], entries[i][0]) for i in order)
 
 
 def orbit_invariant(x: SignedShrub) -> OrbitInvariant:
@@ -420,10 +447,9 @@ def all_ctrees(n: int) -> tuple:
 
     There are ``2 * (n+1)**(n-1)`` of them.
     """
+    _check_count(n)
     m = n + 1
     trees = []
-    if m == 1:
-        raise ValueError("need at least one non-root vertex")
     if m == 2:
         trees.append((0,))
     else:

@@ -70,6 +70,16 @@ def _check_height(h):
         raise ValueError(f"the height must be an int, got {h!r}")
 
 
+def _check_count(n):
+    """Refuse a label count that is not an int of at least 1: ``True``
+    would count one label, and ``2.0`` or ``"2"`` fail later in a bare
+    ``TypeError``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def parse_json(text: str):
     """``json.loads``, for generator words of any depth.
 
@@ -856,8 +866,7 @@ def enumerate_shrubs_bruteforce(n: int) -> tuple:
     n = 6.  All have the labels ``1..n``, so ``sort_key`` ties on its first
     part, and the sort reads ``(heights, covers)`` directly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n)
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"n={n} exceeds cap {ENUMERATION_CAP}")
     labels = tuple(range(1, n + 1))  # label v sits at index v - 1

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .core import _BYTE_BITS, Shrub, _composed_labels, label_key
+from .core import _BYTE_BITS, Shrub, _composed_labels, _is_label, label_key
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -76,6 +76,8 @@ class Polynomial:
 
     @classmethod
     def var(cls, label) -> "Polynomial":
+        if not _is_label(label):
+            raise ValueError(f"a variable is a label, an int or a str, got {label!r}")
         return cls({((label, 1),): Fraction(1)})
 
     def is_zero(self) -> bool:
@@ -245,9 +247,13 @@ class LinearForm:
 
     @classmethod
     def sum_of(cls, labels) -> "LinearForm":
+        """The sum of the variables of ``labels``; ``LabelClash`` on a label
+        given twice, which would repeat a variable in the form."""
         items = sorted(labels, key=label_key)
         if not items:
             raise ValueError("a linear form cannot be zero")
+        if len(set(items)) < len(items):
+            raise LabelClash(dict.fromkeys(v for v, w in zip(items, items[1:]) if v == w))
         return cls(tuple((v, 1) for v in items))
 
     def support(self) -> frozenset:
@@ -593,7 +599,8 @@ def mould_compose(f: MouldElement, i, g: MouldElement) -> MouldElement:
 
 
 def embed_order(order) -> FactoredFraction:
-    """A total order as the inverse product of its suffix sums."""
+    """A total order as the inverse product of its suffix sums;
+    ``LabelClash`` on a repeated label."""
     order = tuple(order)
     den = [LinearForm.sum_of(order[k:]) for k in range(len(order))]
     return FactoredFraction(den=den)
@@ -1042,9 +1049,13 @@ def deformed_generators(t_num, t_den=(1,)):
     generator becomes ``t(u1) t(u2) / (u1 u2 t(u1+u2))``; the graft generator
     is forced by the signed index-0 action: negate after substituting
     ``-(u1+u2)`` for ``u1``.  Returns ``(C_t, D_t)`` as polynomial ratios.
+    A coefficient that is not an int, ``True`` included, raises
+    ``ValueError``.
     """
-    t_num = tuple(int(c) for c in t_num)
-    t_den = tuple(int(c) for c in t_den)
+    t_num, t_den = tuple(t_num), tuple(t_den)
+    for c in t_num + t_den:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise ValueError(f"the coefficients of t must be ints, got {c!r}")
     if not any(t_num):
         raise ZeroDenominator("t must not be identically zero")
     if not any(t_den):

@@ -282,8 +282,8 @@ def _read_parts(num, den, n) -> tuple | None:
 
 
 # Bounded, so that a long stream of distinct fractions cannot grow memory
-# without limit.  1024 still holds one whole orbit at the default orbit cap 5
-# (at most 6! = 720 distinct fractions), so orbit sweeps keep hitting.
+# without limit.  orbit rebuilds through it only on a miss in its own shape
+# table (anticyclic._shape), which keeps the shrubs it needs.
 @functools.lru_cache(maxsize=1024)
 def _reconstruct_checked(record: tuple) -> Shrub:
     """The shrub of a ``(labels, num masks, den masks)`` record (sign +1,

@@ -4,9 +4,10 @@ Series-parallel posets are built from singletons by disjoint union and
 ordinal sum.  Shrubs on a fixed label set are equinumerous with them, and
 so are their isomorphism classes, so the counts produced here cross-check
 the shrub enumerator and ``Shrub.canonical_form`` without sharing any code
-with them.  Labeled posets are built by :func:`series_parallel_posets`,
-each stored as the frozenset of its strict relations ``(a, b)`` meaning
-``a < b``; every count comes from exact generating functions.
+with them but the check of a label count.  Labeled posets are built by
+:func:`series_parallel_posets`, each stored as the frozenset of its strict
+relations ``(a, b)`` meaning ``a < b``; every count comes from exact
+generating functions.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from .core import _check_count
+
 
 def series_parallel_posets(labels) -> frozenset:
-    """All labeled series-parallel posets on ``labels``, as relation sets."""
+    """All labeled series-parallel posets on ``labels``, as relation sets;
+    ``ValueError`` for a str, which would be read as its characters."""
+    if isinstance(labels, str):
+        raise ValueError(f"the labels must be an iterable of labels, not the str {labels!r}")
     labels = tuple(sorted(labels, key=lambda v: (isinstance(v, str), v)))
     memo = {}
 
@@ -56,8 +62,7 @@ def count_series_parallel(n: int) -> int:
     connected ones, by binomial convolution, with ``S' = C'*(1 + S)`` for
     the exponential.  This gives 1, 3, 19, 195, 2791, 51303, ...
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n)
     s = [1] + [0] * n  # s[0] = 1 is the constant term of exp(C)
     c = [0] * (n + 1)
     for m in range(1, n + 1):

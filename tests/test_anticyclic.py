@@ -240,6 +240,8 @@ class TestSignsAndShapes:
         monkeypatch.setattr(anticyclic, "_reconstruct_checked", counted)
         sizes = set()
         for members in all_orbits(5):
+            anticyclic._generators.cache_clear()
+            anticyclic._shape.cache_clear()
             calls.clear()
             orbit(members[0])
             shapes = len(members) // 2 if sign_closed(members) else len(members)
@@ -280,6 +282,7 @@ class TestGeneratorTables:
 
     def test_refusals_come_first(self):
         anticyclic._generators.cache_clear()
+        anticyclic._shape.cache_clear()
         with pytest.raises(ValueError, match="the empty shrub has no fraction"):
             orbit(SignedShrub(1, Shrub([], {}, [])))
         with pytest.raises(CapExceeded):
@@ -287,6 +290,7 @@ class TestGeneratorTables:
         with pytest.raises(CapExceeded):
             orbit(signed(chain(6)))
         assert anticyclic._generators.cache_info().currsize == 0
+        assert anticyclic._shape.cache_info().currsize == 0
 
     @staticmethod
     def subset_image(sigma, n, mask):
@@ -323,6 +327,7 @@ class TestGeneratorTables:
 
     def test_generator_tables_fill_on_a_miss(self):
         anticyclic._generators.cache_clear()
+        anticyclic._shape.cache_clear()
         for n in range(1, 4):
             tables = anticyclic._generators(n)
             assert [t.images for t in tables] == [{}, {}]
@@ -341,11 +346,79 @@ class TestGeneratorTables:
             return step(image, signs, shapes)
 
         monkeypatch.setattr(anticyclic, "_step", counted)
+        anticyclic._generators.cache_clear()
+        anticyclic._shape.cache_clear()
         members = orbit(signed(chain(5)))
         shapes = len({y.shrub for y in members})
         assert (len(members), shapes) == (720, 360)
         # every shape steps through the cycle, and not every one through (0 1)
         assert shapes <= sum(steps) < 2 * shapes
+
+
+class TestShapeTable:
+    """``orbit`` keeps each shape's shrub, sort key and images under the two
+    generators in one bounded table, ``anticyclic._shape``, shared by every
+    call: an orbit read from the table is the orbit a search from nothing
+    finds, and the table's bound holds against an orbit it cannot hold."""
+
+    @staticmethod
+    def clear():
+        anticyclic._generators.cache_clear()
+        anticyclic._shape.cache_clear()
+
+    def test_cold_and_warm_match_the_oracle(self):
+        want = {}
+        for n in range(1, 5):
+            xs = all_signed(n)
+            for x in xs:
+                if x not in want:
+                    members = tuple(sorted(oracle_orbit(x), key=SignedShrub.sort_key))
+                    want.update(dict.fromkeys(members, members))
+                self.clear()
+                assert orbit(x) == want[x]  # every shape a miss
+                assert orbit(x) == want[x]  # every shape a hit, as the first search left it
+            # every orbit again, all but its first search on entries that
+            # searches from other members filled
+            for x in xs:
+                assert orbit(x) == want[x]
+
+    def test_a_warm_orbit_steps_and_rebuilds_nothing(self, monkeypatch):
+        calls = []
+
+        def count(name):
+            real = getattr(anticyclic, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(anticyclic, name, counted)
+
+        count("_step")
+        count("_reconstruct_checked")
+        self.clear()
+        members = orbit(signed(chain(5)))
+        assert {"_step", "_reconstruct_checked"} <= set(calls)
+        calls.clear()
+        # the same orbit again, from its first shape and from another one
+        assert orbit(signed(chain(5))) == orbit(members[101]) == members
+        assert calls == []
+
+    def test_an_orbit_larger_than_the_table(self):
+        # 5,040 shapes on 6 labels: the search evicts its own first shapes,
+        # and a second search misses again
+        P = Shrub(range(1, 7), {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0}, [(1, 4), (1, 6), (2, 5), (3, 4)])
+        x = signed(P, -1)
+        self.clear()
+        members = orbit(x, cap=6)
+        maxsize = anticyclic._shape.cache_info().maxsize
+        assert len({y.shrub for y in members}) > maxsize == anticyclic._shape.cache_info().currsize
+        assert orbit(x, cap=6) == members
+        assert 2 * math.factorial(7) % len(members) == 0
+        closure = set(members)
+        assert x in closure
+        swap, cycle = (1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)
+        assert all(act(swap, y) in closure and act(cycle, y) in closure for y in members)
 
 
 class TestMembers:

@@ -4,6 +4,7 @@ import json
 import pickle
 import pkgutil
 import random
+import re
 import time
 import tracemalloc
 
@@ -31,7 +32,8 @@ from shrubs.checks import all_shrubs, random_shrub
 from shrubs.core import _bits, _find_pattern
 from shrubs.reconstruction import _Weighted
 from shrubs.errors import CapExceeded, ShrubError
-from shrubs.series_parallel import count_series_parallel
+from shrubs.anticyclic import all_ctrees
+from shrubs.series_parallel import count_series_parallel, series_parallel_posets
 
 from oracles import (
     brute_force_isomorphic,
@@ -427,6 +429,26 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             count_series_parallel(0)
 
+    # True counted one label; 2.0, "2" and None ended in a bare TypeError
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None])
+    @pytest.mark.parametrize("count", [enumerate_shrubs_bruteforce, count_series_parallel, all_ctrees])
+    def test_counts_refuse_an_n_not_an_int(self, count, n):
+        with pytest.raises(ValueError, match=rf"^n must be an int, got {re.escape(repr(n))}$"):
+            count(n)
+
+    @pytest.mark.parametrize("count", [enumerate_shrubs_bruteforce, count_series_parallel, all_ctrees])
+    def test_counts_refuse_an_n_below_one(self, count):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+                count(n)
+
+    def test_series_parallel_posets_refuse_a_str(self):
+        # "12" read as the labels "1" and "2"; "2" gave the one empty poset
+        assert len(series_parallel_posets(["1", "2"])) == 3
+        for labels in ("2", "12"):
+            with pytest.raises(ValueError, match=r"^the labels must be an iterable of labels, not the str "):
+                series_parallel_posets(labels)
+
     def test_deterministic_order(self):
         assert enumerate_shrubs_bruteforce(3) == enumerate_shrubs_bruteforce(3)
 
@@ -698,6 +720,7 @@ def test_module_level_caches_are_bounded():
         "shrubs.mould.kappa",
         "shrubs.reconstruction._reconstruct_checked",
         "shrubs.anticyclic._generators",
+        "shrubs.anticyclic._shape",
         "shrubs.checks.all_shrubs",
         "shrubs.mould._factor_texts",
     } <= set(sizes)

@@ -74,6 +74,13 @@ class TestPolynomial:
         x = Polynomial.var("x")
         assert (x * x + x).evaluate({"x": Fraction(3)}) == 12
 
+    # 1.5 made the variable u1.5
+    @pytest.mark.parametrize("label", [1.5, True, None, (1,)])
+    def test_var_takes_a_label(self, label):
+        with pytest.raises(ValueError) as info:
+            Polynomial.var(label)
+        assert str(info.value) == f"a variable is a label, an int or a str, got {label!r}"
+
     def test_term_cap(self):
         xs = [Polynomial.var(k) for k in range(12)]
         p = Polynomial.constant(1)
@@ -102,6 +109,13 @@ class TestLinearForm:
 
     def test_text(self):
         assert form((1, 1), (2, -2)).text() == "u1-2*u2"
+
+    def test_sum_of_refuses_a_repeated_label(self):
+        assert LinearForm.sum_of([2, "a", 1]) == form((1, 1), (2, 1), ("a", 1))
+        for labels, clash in (([1, 1], (1,)), ([3, "a", 1, 3, "a", 3], (3, "a"))):
+            with pytest.raises(LabelClash) as info:
+                LinearForm.sum_of(labels)
+            assert info.value.labels == clash
 
     @pytest.mark.parametrize("c", [1.5, 2.0, 0.0, True, Fraction(2)])
     def test_coefficients_must_be_ints(self, c):
@@ -431,6 +445,12 @@ class TestEmbedding:
         assert embed_order((1,)) == inv(u1)
         assert embed_order((2, 1)) == inv(u1, u12)
 
+    def test_embed_order_refuses_a_repeated_label(self):
+        # [1, 1] gave 1/((u1)(u1+u1)), a factor that is not primitive
+        for order in ([1, 1], (2, 1, 2)):
+            with pytest.raises(LabelClash, match=r"^label clash on \(\d,\)$"):
+                embed_order(order)
+
     def test_pair_identity(self):
         lhs = embed_zinb(gamma(pair_generator(1, 2)))
         rhs = MouldElement.from_fraction(inv(u1, u2))
@@ -591,6 +611,14 @@ class TestDeformation:
     def test_zero_t_rejected(self):
         with pytest.raises(ZeroDenominator):
             deformed_generators((0, 0))
+
+    # int() read 1.5 and "1" as 1
+    @pytest.mark.parametrize("t_num, t_den, bad", [([1.5], [1], 1.5), (["1"], [1], "1"), ([1], [True], True)])
+    def test_coefficients_must_be_ints(self, t_num, t_den, bad):
+        with pytest.raises(ValueError) as info:
+            deformed_generators(t_num, t_den)
+        assert str(info.value) == f"the coefficients of t must be ints, got {bad!r}"
+        assert deformed_generators([1], [1]) == deformed_generators((1,))
 
     def test_equality_and_hash_see_the_labels(self):
         one, u1 = Polynomial.constant(1), Polynomial.var(1)
